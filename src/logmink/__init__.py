@@ -65,7 +65,6 @@ from .convex import (
     polytope_from_support,
     polytope_to_obj,
     support_field,
-    support_function,
     surface_area_measure,
     volume,
     volume_from_support,

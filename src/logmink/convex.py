@@ -29,7 +29,13 @@ from .errors import (
     InvalidParameter,
     OriginNotContained,
 )
-from .grid import ScalarField, SphericalGrid, integrate, tangential_gradient
+from .grid import (
+    ScalarField,
+    SphericalGrid,
+    integrate,
+    require_same_grid,
+    tangential_gradient,
+)
 from .solver import SupportFunction
 
 _MERGE_TOL = 1e-9          # facets merge when 1 - n_i . n_j <= this
@@ -396,11 +402,6 @@ def convex_hull_3d(points) -> Polytope:
     return Polytope(vertices, facets, vertices.mean(axis=0))
 
 
-def support_function(P: Polytope, u) -> float | np.ndarray:
-    """h_P(u) = max over vertices of u . x."""
-    return P.support(u)
-
-
 def support_field(P: Polytope, grid: SphericalGrid) -> ScalarField:
     """Sample h_P at all grid nodes."""
     return ScalarField(grid, P.support(grid.nodes))
@@ -470,11 +471,7 @@ def hausdorff_distance(hK, hL) -> float:
                 f"expected SupportFunction or ScalarField, got {type(arg).__name__}"
             )
     a, b = fields
-    if a.grid is not b.grid and a.grid.L != b.grid.L:
-        raise InvalidParameter(
-            f"grids differ (L={a.grid.L} vs L={b.grid.L}); "
-            "evaluate both bodies on one grid"
-        )
+    require_same_grid(a.grid, b.grid, "hausdorff_distance arguments")
     return float(np.max(np.abs(a.values - b.values)))
 
 

@@ -14,7 +14,7 @@ class InvalidParameter(LogminkError, ValueError):
     """A argument is outside its documented domain (bad bandwidth, bounds, ...)."""
 
 
-class GridMismatch(LogminkError, ValueError):
+class GridMismatch(InvalidParameter):
     """Two objects that must share a spherical grid do not."""
 
 

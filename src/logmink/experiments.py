@@ -197,7 +197,7 @@ def _perturbed_start(f: DensityFunction, grid: SphericalGrid,
 
 
 def _start_from(strategy: str, f: DensityFunction, grid: SphericalGrid,
-                seed: int, solve_opts: SolveOptions) -> SupportFunction:
+                seed: int) -> SupportFunction:
     if strategy.startswith("const:"):
         factor = float(strategy.split(":", 1)[1])
         if factor <= 0.0:
@@ -227,7 +227,7 @@ def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,
     failures = []
     for strategy in inits:
         try:
-            h0 = _start_from(strategy, f, grid, seed, solve_opts)
+            h0 = _start_from(strategy, f, grid, seed)
             result = newton_solve(f, h0=h0, opts=solve_opts, grid=grid)
             solutions.append((strategy, result))
         except LogminkError as exc:

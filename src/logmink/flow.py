@@ -11,13 +11,16 @@ spheres and their translates are genuine stationary points.  Stationary
 profiles of the normalized flow solve h det(W) = c f for a constant c,
 and :func:`run_flow` rescales its answer so that c = 1.
 
-:func:`flow_step` is the literal normalized Euler step.  :func:`run_flow`
-adds two stabilizations on top of it: the degree-1 (translation) component
-of each step is reflected about its previous value, and the iterate is
-rescaled to keep the volume exactly constant.  Both operations fix every
-stationary point of the step map while damping the neutral and weakly
-unstable directions of the volume-preserving gauge, which otherwise let
-the center of mass drift.
+:func:`flow_step` is the literal normalized Euler step, and :func:`run_flow`
+takes the same step.  Both halve a step that loses convexity and retry it,
+at most 40 times in a row; the growth of dt in :func:`run_flow` is fixed
+too (by 1.5 after every 20 consecutively accepted steps).  :func:`run_flow`
+adds two stabilizations on top of the step: the degree-1 (translation)
+component of each step is reflected about its previous value, and the
+iterate is rescaled to keep the volume exactly constant.  Both operations
+fix every stationary point of the step map while damping the neutral and
+weakly unstable directions of the volume-preserving gauge, which otherwise
+let the center of mass drift.
 """
 
 from __future__ import annotations
@@ -27,19 +30,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid, build_grid
+from .grid import SphericalGrid, build_grid, require_same_grid
 from .solver import DensityFunction, SupportFunction, ma_residual
+
+# Step control: a rejected step is halved at most _MAX_HALVINGS times in a
+# row, and run_flow multiplies dt by _DT_GROWTH after every _GROWTH_EVERY
+# consecutively accepted steps.
+_MAX_HALVINGS = 40
+_DT_GROWTH = 1.5
+_GROWTH_EVERY = 20
 
 
 @dataclass(frozen=True)
 class FlowOptions:
     """Time stepping controls.
 
-    dt grows by ``dt_growth`` after every ``growth_every`` consecutively
-    accepted steps, capped at ``dt_max`` (default 1/(L(L+1)), inside the
+    dt grows by the fixed factor 1.5 after every 20 consecutively accepted
+    steps, capped at ``dt_max`` (default 1/(L(L+1)), inside the
     explicit-Euler stability region of the linearized flow at the unit
-    sphere).  On convexity loss the step is halved and retried, up to
-    ``max_halvings`` times.  A run stops as stationary when the relative
+    sphere).  On convexity loss the step is halved and retried, at most 40
+    times in a row.  A run stops as stationary when the relative
     change per unit time drops below ``stationarity_tol``, or at time
     ``t_final`` when that is set (used for shrinking experiments with
     renormalization off).  After a stationary stop the rescaled profile
@@ -52,9 +62,6 @@ class FlowOptions:
     stationarity_tol: float = 1e-9
     max_steps: int = 100000
     renormalize: bool = True
-    max_halvings: int = 40
-    dt_growth: float = 1.5
-    growth_every: int = 20
     dt_max: float | None = None
     t_final: float | None = None
     residual_check: float | None = 1e-7
@@ -68,12 +75,6 @@ class FlowOptions:
             )
         if self.max_steps < 1:
             raise InvalidParameter(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.max_halvings < 0:
-            raise InvalidParameter(f"max_halvings must be >= 0, got {self.max_halvings}")
-        if self.dt_growth < 1.0:
-            raise InvalidParameter(f"dt_growth must be >= 1, got {self.dt_growth}")
-        if self.growth_every < 1:
-            raise InvalidParameter(f"growth_every must be >= 1, got {self.growth_every}")
         if self.dt_max is not None and self.dt_max <= 0.0:
             raise InvalidParameter(f"dt_max must be positive, got {self.dt_max}")
         if self.t_final is not None and self.t_final <= 0.0:
@@ -113,36 +114,39 @@ def _volume_of(h: SupportFunction) -> float:
     return float(h.grid.weights @ (h.values * h.det_w)) / 3.0
 
 
+def _euler_coeffs(h: SupportFunction, fvals: np.ndarray, lam: float,
+                  dt: float) -> np.ndarray:
+    """Coefficients of the Euler step h - dt * f/det(W) + dt * lam * h."""
+    return h.grid.analyze_values(h.values - dt * fvals / h.det_w + dt * lam * h.values)
+
+
 def flow_step(h: SupportFunction, f: DensityFunction, dt: float,
-              renormalize: bool = True, max_halvings: int = 40) -> SupportFunction:
+              renormalize: bool = True) -> SupportFunction:
     """One explicit Euler step of the (normalized) flow.
 
     Computes h' = h - dt * f/det(W) + dt * lambda(t) * h, projects back to
     the grid bandwidth and re-certifies convexity.  If the result is
-    inadmissible the step is halved and retried; after ``max_halvings``
-    failures a :class:`StepFailure` is raised.  With ``renormalize`` off
-    the lambda term is dropped and the body shrinks.
+    inadmissible the step is halved and retried; after 40 halvings a
+    :class:`StepFailure` is raised.  With ``renormalize`` off the lambda
+    term is dropped and the body shrinks.
     """
     if dt <= 0.0:
         raise InvalidParameter(f"dt must be positive, got {dt}")
     grid = h.grid
     fvals = f.values_on(grid)
-    speed = fvals / h.det_w
     if renormalize:
         lam = float(grid.weights @ fvals) / (3.0 * _volume_of(h))
     else:
         lam = 0.0
     step = dt
-    for _ in range(max_halvings + 1):
-        candidate = h.values - step * speed + step * lam * h.values
-        coeffs = grid.analyze_values(candidate)
+    for _ in range(_MAX_HALVINGS + 1):
         try:
-            return SupportFunction(grid, coeffs)
+            return SupportFunction(grid, _euler_coeffs(h, fvals, lam, step))
         except ConvexityError:
             step *= 0.5
     raise StepFailure(
         f"flow step from dt={dt:g} remained inadmissible after "
-        f"{max_halvings} halvings"
+        f"{_MAX_HALVINGS} halvings"
     )
 
 
@@ -172,10 +176,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         if mean <= 0.0:
             raise InvalidParameter(f"density mean must be positive, got {mean:g}")
         h0 = SupportFunction.constant(grid, mean ** (1.0 / 3.0))
-    elif h0.grid is not grid and h0.grid.L != grid.L:
-        raise InvalidParameter(
-            f"h0 lives on bandwidth {h0.grid.L}, requested grid has {grid.L}"
-        )
+    else:
+        require_same_grid(h0.grid, grid, "initial support function and flow grid")
 
     fvals = f.values_on(grid)
     f_total = float(grid.weights @ fvals)
@@ -186,7 +188,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     t = 0.0
     rows = []
     accepted_in_a_row = 0
-    halvings_left = opts.max_halvings
+    halvings_left = _MAX_HALVINGS
     steps_accepted = 0
 
     for _ in range(opts.max_steps):
@@ -194,8 +196,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         if opts.t_final is not None:
             dt_step = min(dt_step, opts.t_final - t)
         lam = f_total / (3.0 * _volume_of(h)) if opts.renormalize else 0.0
-        candidate_values = h.values - dt_step * fvals / h.det_w + dt_step * lam * h.values
-        coeffs = grid.analyze_values(candidate_values)
+        coeffs = _euler_coeffs(h, fvals, lam, dt_step)
         if opts.renormalize:
             # reflect the translation modes about their previous values
             coeffs[1:4] = 2.0 * h.coeffs[1:4] - coeffs[1:4]
@@ -205,7 +206,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             if halvings_left == 0:
                 raise StepFailure(
                     f"flow step at t={t:g} remained inadmissible after "
-                    f"{opts.max_halvings} halvings"
+                    f"{_MAX_HALVINGS} halvings"
                 ) from None
             halvings_left -= 1
             dt *= 0.5
@@ -219,7 +220,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             dt_step * float(np.max(np.abs(h.values))))
         t += dt_step
         steps_accepted += 1
-        halvings_left = opts.max_halvings
+        halvings_left = _MAX_HALVINGS
         vol = _volume_of(cand)
         c_here = float(grid.weights @ (cand.values * cand.det_w)) / f_total
         res = float(np.max(np.abs(cand.values * cand.det_w - c_here * fvals)))
@@ -246,8 +247,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                               c_est=c_est, reason="stationary", rows=rows)
 
         accepted_in_a_row += 1
-        if accepted_in_a_row >= opts.growth_every and dt < dt_cap:
-            dt = min(dt * opts.dt_growth, dt_cap)
+        if accepted_in_a_row >= _GROWTH_EVERY and dt < dt_cap:
+            dt = min(dt * _DT_GROWTH, dt_cap)
             accepted_in_a_row = 0
 
     raise ConvergenceFailure(

@@ -58,7 +58,7 @@ __all__ = [
     "evaluate_harmonics",
     "lm_index",
     "coeff_count",
-    "same_grid",
+    "require_same_grid",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -391,12 +391,12 @@ def build_grid(L: int = DEFAULT_BANDWIDTH) -> SphericalGrid:
     return _GRID_CACHE[L]
 
 
-def same_grid(a: SphericalGrid, b: SphericalGrid) -> bool:
-    return a is b or a.L == b.L
+def require_same_grid(a: SphericalGrid, b: SphericalGrid, what: str) -> None:
+    """Raise :class:`GridMismatch` unless ``a`` and ``b`` share a bandwidth.
 
-
-def _require_same_grid(a: SphericalGrid, b: SphericalGrid, what: str) -> None:
-    if not same_grid(a, b):
+    ``what`` names the two objects in the error message.
+    """
+    if a.L != b.L:
         raise GridMismatch(f"{what}: grids have bandwidths {a.L} and {b.L}")
 
 

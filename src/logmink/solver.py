@@ -32,7 +32,7 @@ from .grid import (
     build_grid,
     coeff_count,
     lm_index,
-    same_grid,
+    require_same_grid,
 )
 
 __all__ = [
@@ -46,6 +46,13 @@ __all__ = [
     "newton_solve",
     "holder_proxy_seminorm",
 ]
+
+# Line-search constants of :func:`newton_solve`: the step shrink factor, the
+# smallest step tried before giving up, and the floor that every accepted
+# iterate must keep ``min h`` above.
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 2.0 ** -20
+_POSITIVITY_FLOOR = 1e-8
 
 
 def _curvature_data(grid: SphericalGrid, values: np.ndarray):
@@ -66,6 +73,8 @@ class SupportFunction:
     data of ``W = Hess h + h I``.  Construction fails with
     :class:`ConvexityError` if ``h`` is not strictly positive or ``W`` is not
     positive definite at some node; the error names the first offending node.
+    Non-finite data fails the same way.  Positivity is checked first, so a
+    non-positive ``h`` is rejected before its Hessian is computed.
     """
 
     def __init__(self, grid: SphericalGrid, coeffs: np.ndarray):
@@ -76,15 +85,16 @@ class SupportFunction:
                 f"coefficients, got shape {coeffs.shape}"
             )
         values = grid.synthesize_coeffs(coeffs)
-        w11, w12, w22, det, min_eig = _curvature_data(grid, values)
-        if np.min(values) <= 0.0:
+        # written as not (min > 0) so that NaN fails the certificate too
+        if not (np.min(values) > 0.0):
             node = int(np.argmin(values))
             raise ConvexityError(
                 f"support function is not positive at node {node} "
                 f"(value {values[node]:.3e})",
                 node=node,
             )
-        if np.min(min_eig) <= 0.0:
+        w11, w12, w22, det, min_eig = _curvature_data(grid, values)
+        if not (np.min(min_eig) > 0.0):
             node = int(np.argmin(min_eig))
             raise ConvexityError(
                 f"curvature matrix W is not positive definite at node {node} "
@@ -148,9 +158,10 @@ class SupportFunction:
 class DensityFunction:
     """Positive density on the sphere, stored as harmonic coefficients.
 
-    Carries two-sided bounds ``lam_lo <= f <= lam_hi`` (checked at the nodes
-    of the construction grid) and a Holder-type regularity proxy, the
-    exponent-1/2 difference quotient seminorm of :func:`holder_proxy_seminorm`.
+    Carries two-sided bounds ``lam_lo <= f <= lam_hi``, checked at the nodes
+    of the construction grid.  For a Holder-type regularity proxy, apply
+    :func:`holder_proxy_seminorm` to :meth:`field_on`; it needs O(n^2)
+    memory in the node count n.
     """
 
     def __init__(self, coeffs: HarmonicCoeffs, lam_lo: float, lam_hi: float,
@@ -171,7 +182,6 @@ class DensityFunction:
                 f"density violates its bounds [{lam_lo}, {lam_hi}]: "
                 f"range [{vals.min():.6g}, {vals.max():.6g}]"
             )
-        self.seminorm = holder_proxy_seminorm(ScalarField(check_grid, vals))
 
     @classmethod
     def constant(cls, value: float) -> "DensityFunction":
@@ -271,37 +281,25 @@ def holder_proxy_seminorm(field: ScalarField, alpha: float = 0.5) -> float:
 class SolveOptions:
     """Knobs of the damped Newton iteration.
 
+    The line search halves the step down to ``2**-20`` and requires
+    ``min h > 1e-8`` of every accepted iterate; those rules are fixed.
+
     Attributes
     ----------
     tolerance : float
         Residual sup-norm at which the solve is accepted.
     max_iterations : int
         Newton iteration cap.
-    backtrack_factor : float
-        Step shrink factor during backtracking.
-    min_step : float
-        Smallest admissible backtracking step before giving up.
-    positivity_floor : float
-        Iterates must keep ``min h`` above this floor.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    backtrack_factor: float = 0.5
-    min_step: float = 2.0 ** -20
-    positivity_floor: float = 1e-8
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise InvalidParameter("tolerance must be positive")
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be at least 1")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise InvalidParameter("backtrack_factor must lie in (0, 1)")
-        if not (0.0 < self.min_step <= 1.0):
-            raise InvalidParameter("min_step must lie in (0, 1]")
-        if self.positivity_floor <= 0.0:
-            raise InvalidParameter("positivity_floor must be positive")
 
 
 @dataclass
@@ -349,11 +347,7 @@ def linearized_operator(h: SupportFunction, phi: ScalarField) -> ScalarField:
     cofactor matrix of ``W``.  At the unit sphere it reduces to the Helmholtz
     operator ``Lap phi + 3 phi``.
     """
-    if not same_grid(h.grid, phi.grid):
-        raise InvalidParameter(
-            f"support function (L={h.grid.L}) and perturbation (L={phi.grid.L}) "
-            "must share a grid"
-        )
+    require_same_grid(h.grid, phi.grid, "support function and perturbation")
     p11, p12, p22 = h.grid.hessian_components(phi.values)
     u_term = (h.w22 * (p11 + phi.values) - 2.0 * h.w12 * p12
               + h.w11 * (p22 + phi.values))
@@ -371,12 +365,11 @@ def check_convexity(field: ScalarField) -> tuple[np.ndarray, bool]:
     return min_eig, ok
 
 
-def _jacobian_matrix(grid: SphericalGrid, values: np.ndarray,
-                     w11: np.ndarray, w12: np.ndarray, w22: np.ndarray,
-                     det: np.ndarray) -> np.ndarray:
-    """Galerkin matrix of the linearized operator in coefficient space."""
-    s = grid._spec
-    diag_y = det + values * (w11 + w22)
+def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
+    """Galerkin matrix of the linearized operator at ``h`` in coefficient space."""
+    s = h.grid._spec
+    values, w11, w12, w22 = h.values, h.w11, h.w12, h.w22
+    diag_y = h.det_w + values * (w11 + w22)
     j_node = (diag_y[:, None] * s.Y
               + values[:, None] * (w22[:, None] * s.H11
                                    - 2.0 * w12[:, None] * s.H12
@@ -415,28 +408,23 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     opts = opts or SolveOptions()
     if h0 is not None:
         work_grid = h0.grid
-        if grid is not None and not same_grid(grid, work_grid):
-            raise InvalidParameter("explicit grid conflicts with initial iterate grid")
+        if grid is not None:
+            require_same_grid(grid, work_grid, "explicit grid and initial iterate")
     else:
         work_grid = grid if grid is not None else build_grid(DEFAULT_BANDWIDTH)
         h0 = SupportFunction.constant(work_grid, f.mean() ** (1.0 / 3.0))
 
     fv = f.values_on(work_grid)
-    coeffs = h0.coeffs.copy()
-    values = h0.values.copy()
-    w11, w12, w22 = h0.w11.copy(), h0.w12.copy(), h0.w22.copy()
-    det = h0.det_w.copy()
-    min_eig = h0.min_eig_w.copy()
-
-    residual = values * det - fv
+    h = h0
+    residual = h.values * h.det_w - fv
     res_sup = float(np.max(np.abs(residual)))
-    rows = [(0, res_sup, float(values.min()), float(min_eig.min()), 0.0)]
+    rows = [(0, res_sup, float(h.values.min()), float(h.min_eig_w.min()), 0.0)]
     matrix = None
 
     for it in range(1, opts.max_iterations + 1):
         if res_sup <= opts.tolerance:
             break
-        matrix = _jacobian_matrix(work_grid, values, w11, w12, w22, det)
+        matrix = _jacobian_matrix(h)
         rhs = -(work_grid._spec.A @ residual)
         try:
             delta = np.linalg.solve(matrix, rhs)
@@ -448,27 +436,25 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
 
         step = 1.0
         accepted = False
-        while step >= opts.min_step:
-            cand = coeffs + step * delta
-            cand_values = work_grid.synthesize_coeffs(cand)
-            if np.min(cand_values) > opts.positivity_floor:
-                cw11, cw12, cw22, cdet, cmin_eig = _curvature_data(work_grid, cand_values)
-                if np.min(cmin_eig) > 0.0:
-                    cand_res = cand_values * cdet - fv
-                    cand_sup = float(np.max(np.abs(cand_res)))
-                    if cand_sup < res_sup:
-                        coeffs, values = cand, cand_values
-                        w11, w12, w22, det, min_eig = cw11, cw12, cw22, cdet, cmin_eig
-                        residual, res_sup = cand_res, cand_sup
-                        accepted = True
-                        break
-            step *= opts.backtrack_factor
+        while step >= _MIN_STEP:
+            try:
+                cand = SupportFunction(work_grid, h.coeffs + step * delta)
+            except ConvexityError:
+                cand = None
+            if cand is not None and cand.h_min() > _POSITIVITY_FLOOR:
+                cand_res = cand.values * cand.det_w - fv
+                cand_sup = float(np.max(np.abs(cand_res)))
+                if cand_sup < res_sup:
+                    h, residual, res_sup = cand, cand_res, cand_sup
+                    accepted = True
+                    break
+            step *= _BACKTRACK_FACTOR
         if not accepted:
             raise ConvergenceFailure(
-                f"backtracking failed below step {opts.min_step} at iteration {it}",
+                f"backtracking failed below step {_MIN_STEP} at iteration {it}",
                 residual=res_sup, iterations=it,
             )
-        rows.append((it, res_sup, float(values.min()), float(min_eig.min()), step))
+        rows.append((it, res_sup, float(h.values.min()), float(h.min_eig_w.min()), step))
 
     converged = res_sup <= opts.tolerance
     if not converged:
@@ -478,11 +464,10 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             residual=res_sup, iterations=opts.max_iterations,
         )
     if matrix is None:
-        matrix = _jacobian_matrix(work_grid, values, w11, w12, w22, det)
+        matrix = _jacobian_matrix(h)
     condition = float(np.linalg.cond(matrix))
-    result_h = SupportFunction(work_grid, coeffs)
     return NewtonResult(
-        h=result_h,
+        h=h,
         converged=True,
         iterations=rows[-1][0],
         residual_sup=res_sup,

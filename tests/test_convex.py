@@ -20,13 +20,13 @@ from logmink.convex import (
     polytope_from_support,
     polytope_to_obj,
     support_field,
-    support_function,
     surface_area_measure,
     volume,
     volume_from_support,
 )
 from logmink.errors import (
     DimensionDeficient,
+    GridMismatch,
     InvalidParameter,
     OriginNotContained,
 )
@@ -117,11 +117,11 @@ def test_polytope_transforms():
 
 def test_cube_support_values():
     P = convex_hull_3d(cube_points())
-    assert abs(support_function(P, [1.0, 0.0, 0.0]) - 1.0) < 1e-14
+    assert abs(P.support([1.0, 0.0, 0.0]) - 1.0) < 1e-14
     diag = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    assert abs(support_function(P, diag) - np.sqrt(3.0)) < 1e-14
+    assert abs(P.support(diag) - np.sqrt(3.0)) < 1e-14
     dirs = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
-    vals = support_function(P, dirs)
+    vals = P.support(dirs)
     assert vals.shape == (2,)
     # width in any direction is positive
     assert vals[0] + vals[1] > 0.0
@@ -131,7 +131,7 @@ def test_support_field_matches_pointwise():
     grid = build_grid(8)
     P = convex_hull_3d(random_cloud(3))
     field = support_field(P, grid)
-    direct = support_function(P, grid.nodes)
+    direct = P.support(grid.nodes)
     assert_allclose(field.values, direct, atol=0.0)
 
 
@@ -266,7 +266,7 @@ def test_hausdorff_distances():
     # true sup distance is sqrt(3) - 1, attained at the diagonals, which the
     # grid samples only approximately
     assert np.sqrt(3.0) - 1.0 - 0.02 < d <= np.sqrt(3.0) - 1.0 + 1e-12
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(GridMismatch):
         hausdorff_distance(ball, SupportFunction.constant(build_grid(8), 1.0))
 
 
@@ -291,7 +291,7 @@ def test_polytope_from_support_node_exact():
     P = polytope_from_support(h)
     # every boundary point x(u) has x . u = h(u); the hulled polytope's
     # support therefore matches h at the nodes to rounding
-    vals = support_function(P, grid.nodes)
+    vals = P.support(grid.nodes)
     assert np.max(np.abs(vals - h.values)) < 1e-9
 
 
@@ -407,8 +407,8 @@ def test_ball_offset_outer_contains_offset_body():
     Q = ball_offset_outer(P, r)
     # outer approximation: support of Q dominates h_P + r everywhere
     dirs = np.vstack([np.eye(3), [[1, 1, 1] / np.sqrt(3.0)]])
-    hq = support_function(Q, dirs)
-    hp = support_function(P, dirs)
+    hq = Q.support(dirs)
+    hp = P.support(dirs)
     assert np.all(hq >= hp + r - 1e-9)
 
 

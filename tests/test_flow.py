@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logmink.errors import InvalidParameter, StepFailure
+from logmink.errors import GridMismatch, InvalidParameter, StepFailure
 from logmink.flow import FlowOptions, FlowResult, flow_step, run_flow
 from logmink.grid import build_grid, lm_index
 from logmink.solver import DensityFunction, SupportFunction, ma_residual
@@ -64,11 +64,12 @@ def test_flow_step_validation(grid):
 
 
 def test_flow_step_halving_gives_up(grid):
-    # an enormous step with halving disabled cannot stay convex
+    # after the 40 allowed halvings a step from dt=1e20 is still about 9e7,
+    # far too large to keep h positive
     h = SupportFunction.constant(grid, 1.0)
     f = DensityFunction.from_harmonics([(4, 0, 0.3)], base=1.0, grid=grid)
     with pytest.raises(StepFailure):
-        flow_step(h, f, dt=500.0, renormalize=False, max_halvings=0)
+        flow_step(h, f, dt=1e20, renormalize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +84,17 @@ def test_flow_options_validation():
     with pytest.raises(InvalidParameter):
         FlowOptions(max_steps=0)
     with pytest.raises(InvalidParameter):
-        FlowOptions(dt_growth=0.5)
-    with pytest.raises(InvalidParameter):
         FlowOptions(t_final=0.0)
     with pytest.raises(InvalidParameter):
         FlowOptions(residual_check=0.0)
     # None is the documented way to skip the final residual check
     FlowOptions(residual_check=None)
+
+
+def test_run_flow_grid_mismatch(grid):
+    h0 = SupportFunction.constant(build_grid(8), 1.0)
+    with pytest.raises(GridMismatch):
+        run_flow(DensityFunction.constant(1.0), h0=h0, grid=grid)
 
 
 def test_flow_reaches_unit_sphere(grid):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logmink.errors import ConvergenceFailure, ConvexityError, InvalidParameter
+from logmink.errors import ConvergenceFailure, ConvexityError, GridMismatch, InvalidParameter
+from logmink.experiments import gen_density
 from logmink.grid import HarmonicCoeffs, ScalarField, build_grid, lm_index, synthesize
 from logmink.solver import (
     DensityFunction,
@@ -85,6 +86,20 @@ def test_support_function_rejects_nonconvex(grid):
     assert err.value.node is not None
 
 
+def test_support_function_rejects_nan(grid):
+    with pytest.raises(ConvexityError):
+        SupportFunction(grid, np.full(grid.n_coeffs, np.nan))
+
+
+def test_support_function_rejects_inf(grid):
+    # an infinite zonal coefficient gives h = inf everywhere, so it passes
+    # positivity; its Hessian is NaN and must fail the W certificate
+    c = np.zeros(grid.n_coeffs)
+    c[0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ConvexityError):
+        SupportFunction(grid, c)
+
+
 def test_from_field_rejects_aliased_values(grid):
     rng = np.random.default_rng(0)
     field = ScalarField(grid, 2.0 + 0.01 * rng.standard_normal(grid.n_nodes))
@@ -152,6 +167,16 @@ def test_holder_proxy_seminorm(grid):
     assert holder_proxy_seminorm(linear) > 0.0
 
 
+def test_density_does_not_compute_seminorm(monkeypatch):
+    # the O(n^2) seminorm is a standalone diagnostic, not construction work
+    def fail(*args, **kwargs):
+        raise AssertionError("holder_proxy_seminorm called during construction")
+
+    monkeypatch.setattr("logmink.solver.holder_proxy_seminorm", fail)
+    f = gen_density(3, 0.05, 2.0, L=16)
+    assert (f.lam_lo, f.lam_hi) == (0.5, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # linearized operator
 
@@ -211,7 +236,7 @@ def test_linearized_operator_grid_mismatch(grid):
     h = SupportFunction.constant(grid, 1.0)
     other = build_grid(8)
     phi = ScalarField(other, np.ones(other.n_nodes))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(GridMismatch):
         linearized_operator(h, phi)
 
 
@@ -281,8 +306,10 @@ def test_newton_unreachable_tolerance_fails_loudly(grid):
 def test_newton_grid_conflict(grid):
     f = DensityFunction.constant(1.0)
     h0 = SupportFunction.constant(grid, 1.0)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(GridMismatch):
         newton_solve(f, h0=h0, grid=build_grid(8))
+    # a grid mismatch is a usage error: the CLI maps it to exit code 2
+    assert issubclass(GridMismatch, InvalidParameter)
 
 
 def test_solve_options_validation():
@@ -290,12 +317,6 @@ def test_solve_options_validation():
         SolveOptions(tolerance=0.0)
     with pytest.raises(InvalidParameter):
         SolveOptions(max_iterations=0)
-    with pytest.raises(InvalidParameter):
-        SolveOptions(backtrack_factor=1.0)
-    with pytest.raises(InvalidParameter):
-        SolveOptions(min_step=0.0)
-    with pytest.raises(InvalidParameter):
-        SolveOptions(positivity_floor=-1.0)
 
 
 def test_report_csv_schema(grid):
