@@ -20,7 +20,10 @@ component of each step is reflected about its previous value, and the
 iterate is rescaled to keep the volume exactly constant.  Both operations
 fix every stationary point of the step map while damping the neutral and
 weakly unstable directions of the volume-preserving gauge, which otherwise
-let the center of mass drift.
+let the center of mass drift.  The rescale h -> s h scales W by s and
+det W by s**2, so its certificate is derived from the step's certificate
+by that scaling law (:meth:`SupportFunction.scaled`) instead of being
+recomputed, and each accepted step is certified once.
 """
 
 from __future__ import annotations
@@ -163,7 +166,9 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     any stationary point.  A stationary profile satisfies
     h det(W) = c_est * f; the result is rescaled by c_est^(-1/3) so it
     solves the equation with constant 1, and the final sup-norm residual
-    is verified to be at most 1e-7.
+    is verified to be at most 1e-7.  Both rescales derive their
+    certificate from the scaling law (W scales by s, det W by s**2)
+    rather than certifying the rescaled coefficients again.
 
     ``snapshot_fn(step, t, h)`` is invoked every ``snapshot_every``
     accepted steps when provided.
@@ -214,7 +219,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             continue
         if opts.renormalize:
             scale = (v_target / _volume_of(cand)) ** (1.0 / 3.0)
-            cand = SupportFunction(grid, cand.coeffs * scale)
+            cand = cand.scaled(scale)
 
         rate = float(np.max(np.abs(cand.values - h.values))) / (
             dt_step * float(np.max(np.abs(h.values))))
@@ -235,7 +240,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                               reason="time", rows=rows)
         if rate <= opts.stationarity_tol:
             c_est = float(grid.weights @ (h.values * h.det_w)) / f_total
-            h_final = SupportFunction(grid, h.coeffs * c_est ** (-1.0 / 3.0))
+            h_final = h.scaled(c_est ** (-1.0 / 3.0))
             residual = float(np.max(np.abs(ma_residual(h_final, f).values)))
             if opts.residual_check is not None and residual > opts.residual_check:
                 raise ConvergenceFailure(

@@ -66,15 +66,39 @@ def _curvature_data(grid: SphericalGrid, values: np.ndarray):
     return w11, h12, w22, det, mean - spread
 
 
+def _require_positive(values: np.ndarray) -> None:
+    """Raise :class:`ConvexityError` unless every node value is positive and finite."""
+    # written as not (min > 0 and max < inf) so that NaN and inf fail too
+    if not (np.min(values) > 0.0 and np.max(values) < np.inf):
+        node = int(np.argmin(np.where(np.isfinite(values), values, -np.inf)))
+        raise ConvexityError(
+            f"support function is not positive and finite at node {node} "
+            f"(value {values[node]:.3e})",
+            node=node,
+        )
+
+
+def _require_positive_definite(min_eig: np.ndarray) -> None:
+    """Raise :class:`ConvexityError` unless ``W`` is positive definite at every node."""
+    if not (np.min(min_eig) > 0.0):
+        node = int(np.argmin(min_eig))
+        raise ConvexityError(
+            f"curvature matrix W is not positive definite at node {node} "
+            f"(minimal eigenvalue {min_eig[node]:.3e})",
+            node=node,
+            eigenvalue=float(min_eig[node]),
+        )
+
+
 class SupportFunction:
     """Support function of a smooth convex body, certified on construction.
 
     Stores node values together with harmonic coefficients and the curvature
     data of ``W = Hess h + h I``.  Construction fails with
-    :class:`ConvexityError` if ``h`` is not strictly positive or ``W`` is not
-    positive definite at some node; the error names the first offending node.
-    Non-finite data fails the same way.  Positivity is checked first, so a
-    non-positive ``h`` is rejected before its Hessian is computed.
+    :class:`ConvexityError` if ``h`` is not strictly positive and finite or
+    ``W`` is not positive definite at some node; the error names an
+    offending node.  Positivity is checked first, so a non-positive or
+    non-finite ``h`` is rejected before its Hessian is computed.
     """
 
     def __init__(self, grid: SphericalGrid, coeffs: np.ndarray):
@@ -85,23 +109,12 @@ class SupportFunction:
                 f"coefficients, got shape {coeffs.shape}"
             )
         values = grid.synthesize_coeffs(coeffs)
-        # written as not (min > 0) so that NaN fails the certificate too
-        if not (np.min(values) > 0.0):
-            node = int(np.argmin(values))
-            raise ConvexityError(
-                f"support function is not positive at node {node} "
-                f"(value {values[node]:.3e})",
-                node=node,
-            )
+        _require_positive(values)
         w11, w12, w22, det, min_eig = _curvature_data(grid, values)
-        if not (np.min(min_eig) > 0.0):
-            node = int(np.argmin(min_eig))
-            raise ConvexityError(
-                f"curvature matrix W is not positive definite at node {node} "
-                f"(minimal eigenvalue {min_eig[node]:.3e})",
-                node=node,
-                eigenvalue=float(min_eig[node]),
-            )
+        _require_positive_definite(min_eig)
+        self._store(grid, coeffs, values, w11, w12, w22, det, min_eig)
+
+    def _store(self, grid, coeffs, values, w11, w12, w22, det, min_eig) -> None:
         self.grid = grid
         self.coeffs = coeffs
         self.values = values
@@ -111,6 +124,29 @@ class SupportFunction:
         for arr in (self.coeffs, self.values, self.w11, self.w12, self.w22,
                     self.det_w, self.min_eig_w):
             arr.setflags(write=False)
+
+    def scaled(self, factor: float) -> "SupportFunction":
+        """The dilate ``factor * h``, certified without a transform.
+
+        Scaling ``h`` by ``s > 0`` scales ``W = Hess h + h I`` and its
+        eigenvalues by ``s`` and ``det W`` by ``s**2``, so every cached array
+        is scaled directly.  The positivity tests still run on the scaled
+        arrays, because the products can underflow or overflow.
+        """
+        factor = float(factor)
+        if not (0.0 < factor < np.inf):
+            raise InvalidParameter(
+                f"scale factor must be positive and finite, got {factor}"
+            )
+        values = factor * self.values
+        min_eig = factor * self.min_eig_w
+        _require_positive(values)
+        _require_positive_definite(min_eig)
+        out = object.__new__(type(self))
+        out._store(self.grid, factor * self.coeffs, values, factor * self.w11,
+                   factor * self.w12, factor * self.w22,
+                   factor * factor * self.det_w, min_eig)
+        return out
 
     @classmethod
     def from_field(cls, field: ScalarField) -> "SupportFunction":
@@ -309,7 +345,7 @@ class NewtonResult:
     ``rows`` holds one ``(iter, residual_sup, min_h, min_eig_W, step_size)``
     tuple per iteration (iteration 0 describes the initial iterate with step
     size 0), matching the CSV report schema of :meth:`report_csv`.
-    ``condition_number`` is the 2-norm conditioning of the final linearized
+    ``condition_number`` is the 1-norm conditioning of the final linearized
     system, recorded so ill-conditioning is visible rather than assumed away.
     """
 
@@ -328,15 +364,10 @@ class NewtonResult:
 
 
 def ma_residual(h: SupportFunction, f: DensityFunction) -> ScalarField:
-    """Monge-Ampere residual field ``h det(W) - f`` at the grid nodes."""
-    bad = np.flatnonzero(h.min_eig_w <= 0.0)
-    if bad.size:
-        node = int(bad[0])
-        raise ConvexityError(
-            f"curvature matrix W is not positive definite at node {node}",
-            node=node,
-            eigenvalue=float(h.min_eig_w[node]),
-        )
+    """Monge-Ampere residual field ``h det(W) - f`` at the grid nodes.
+
+    ``h`` is certified, so ``W`` is positive definite at every node.
+    """
     return ScalarField(h.grid, h.values * h.det_w - f.values_on(h.grid))
 
 
@@ -465,7 +496,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
         )
     if matrix is None:
         matrix = _jacobian_matrix(h)
-    condition = float(np.linalg.cond(matrix))
+    condition = float(np.linalg.cond(matrix, 1))
     return NewtonResult(
         h=h,
         converged=True,

@@ -122,6 +122,26 @@ def test_flow_recovers_translated_ball(grid):
     assert np.max(np.abs(result.h.values - exact)) < 1e-6
 
 
+def test_run_flow_certifies_once_per_step(monkeypatch):
+    # the volume rescale and the final c_est rescale derive their
+    # certificates from the scaling law, so only the Euler candidates and
+    # the default h0 are certified by construction
+    grid = build_grid(8)
+    f = DensityFunction.from_harmonics([(2, 0, 0.05)], base=1.0, grid=grid)
+    certify = SupportFunction.__init__
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        certify(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportFunction, "__init__", counting)
+    result = run_flow(f, grid=grid)
+    assert result.reason == "stationary"
+    assert result.steps > 1
+    assert len(calls) <= result.steps + 1
+
+
 def test_flow_preserves_volume(grid):
     # renormalized runs rescale every accepted step back to the initial
     # volume, so the trace volumes are constant to rounding

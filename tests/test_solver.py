@@ -15,6 +15,7 @@ from logmink.solver import (
     check_convexity,
     holder_proxy_seminorm,
     linearized_operator,
+    _jacobian_matrix,
     ma_residual,
     newton_solve,
 )
@@ -91,13 +92,43 @@ def test_support_function_rejects_nan(grid):
         SupportFunction(grid, np.full(grid.n_coeffs, np.nan))
 
 
+@pytest.mark.filterwarnings("error")
 def test_support_function_rejects_inf(grid):
-    # an infinite zonal coefficient gives h = inf everywhere, so it passes
-    # positivity; its Hessian is NaN and must fail the W certificate
+    # an infinite zonal coefficient gives h = inf everywhere; it must fail
+    # the positivity test before its Hessian (NaN, with a warning) is taken
     c = np.zeros(grid.n_coeffs)
     c[0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(ConvexityError):
+    with pytest.raises(ConvexityError):
         SupportFunction(grid, c)
+
+
+def test_scaled_matches_recertified(grid):
+    c = translated_ball_coeffs(grid, np.array([0.05, -0.08, 0.1]))
+    c[lm_index(2, 1)] = 0.04
+    c[lm_index(3, -2)] = 0.03
+    h = SupportFunction(grid, c)
+    for s in (0.5, 3.0):
+        scaled = h.scaled(s)
+        direct = SupportFunction(grid, s * c)
+        assert_allclose(scaled.coeffs, direct.coeffs, rtol=1e-12)
+        for name in ("values", "w11", "w12", "w22", "det_w", "min_eig_w"):
+            assert_allclose(getattr(scaled, name), getattr(direct, name),
+                            rtol=1e-12, atol=1e-12 * s * s, err_msg=name)
+        for arr in (scaled.coeffs, scaled.values, scaled.w11, scaled.w12,
+                    scaled.w22, scaled.det_w, scaled.min_eig_w):
+            assert not arr.flags.writeable
+
+
+def test_scaled_rejects_bad_factors(grid):
+    h = SupportFunction.constant(grid, 1.0)
+    for s in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            h.scaled(s)
+    # products that underflow to 0 or overflow to inf fail the certificate
+    with pytest.raises(ConvexityError):
+        SupportFunction.constant(grid, 1e-5).scaled(1e-320)
+    with np.errstate(over="ignore"), pytest.raises(ConvexityError):
+        SupportFunction.constant(grid, 10.0).scaled(1e308)
 
 
 def test_from_field_rejects_aliased_values(grid):
@@ -266,9 +297,25 @@ def test_newton_conditioning_recorded(grid):
     f = DensityFunction.constant(1.0)
     h0 = SupportFunction.constant(grid, 1.3)
     result = newton_solve(f, h0=h0)
-    # the L=16 linearized system at the round sphere has 2-norm condition
-    # number (l(l+1)-3) extremes -> about 269
+    # the L=16 Galerkin matrix at the round sphere is diagonal with entries
+    # about 3 - l(l+1), so its 1-norm (like its 2-norm) condition number is
+    # the ratio of the extremes -> about 269
     assert 100.0 < result.condition_number < 1000.0
+
+
+def test_newton_condition_number_is_one_norm():
+    # the translated ball solves its own density exactly, so Newton stops at
+    # iteration 0 and reports the conditioning of the Jacobian at h0; h is
+    # not constant, so the Jacobian is not diagonal and the norms differ
+    grid = build_grid(8)
+    v = np.array([0.0, 0.0, 0.1])
+    h0 = SupportFunction(grid, translated_ball_coeffs(grid, v))
+    f = DensityFunction.from_harmonics([(1, 0, v[2])], base=1.0, grid=grid)
+    result = newton_solve(f, h0=h0)
+    assert result.iterations == 0
+    jac = _jacobian_matrix(h0)
+    assert result.condition_number == np.linalg.cond(jac, 1)
+    assert abs(result.condition_number / np.linalg.cond(jac) - 1.0) > 1e-3
 
 
 def test_newton_translated_ball(grid):
