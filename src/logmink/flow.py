@@ -11,11 +11,38 @@ spheres and their translates are genuine stationary points.  Stationary
 profiles of the normalized flow solve h det(W) = c f for a constant c,
 and :func:`run_flow` rescales its answer so that c = 1.
 
-:func:`flow_step` is the literal normalized Euler step, and :func:`run_flow`
-takes the same step.  Both halve a step that loses convexity and retry it,
-at most 40 times in a row; the growth of dt in :func:`run_flow` is fixed
-too (by 1.5 after every 20 consecutively accepted steps).  :func:`run_flow`
-adds two stabilizations on top of the step: the degree-1 (translation)
+:func:`flow_step` and :func:`run_flow` take the same semi-implicit step
+(first-order IMEX, Ascher, Ruuth and Wetton 1995).  The explicit increment
+
+    a = analyze(dt * (lambda h - f/det W))
+
+is damped degree by degree, its degree-l coefficients being divided by
+1 + dt * kappa * l(l+1); that is, the step solves
+
+    (1 - dt kappa Laplacian) (h' - h) = a,
+
+a diagonal solve in harmonic space.  The linearized speed f/det W has the
+principal part f/det(W)**2 * cof W : Hess, and the largest eigenvalue of
+cof W is the largest eigenvalue of W, det W / min_eig W; so
+
+    kappa = max over nodes of f / (det W * min_eig W)
+
+bounds the principal coefficient everywhere.  On the frozen-coefficient
+linearization the damped step therefore contracts every high degree for
+every dt, where an explicit step is stable only for dt <= 1/(kappa l(l+1)).
+That is why the default cap on dt is a constant (0.2, see
+:class:`FlowOptions`) instead of the 1/(L(L+1)) an explicit step needs.  kappa is read in
+O(n) from the certified support function and is the same for h -> s h with
+f -> s**3 f, so the flow stays scale equivariant.  The damping is zero
+where a is zero, so the stationary points are those of the explicit step.
+Stationarity is measured on the undamped projection of a: the damped
+increment shrinks the degree-l residual by 1/(1 + dt kappa l(l+1)) and
+would report stationarity too early.
+
+Both functions halve a step that loses convexity and retry it, at most 40
+times in a row; the growth of dt in :func:`run_flow` is fixed too (by 1.5
+after every 20 consecutively accepted steps).  :func:`run_flow` adds two
+stabilizations on top of the step: the degree-1 (translation)
 component of each step is reflected about its previous value, and the
 iterate is rescaled to keep the volume exactly constant.  Both operations
 fix every stationary point of the step map while damping the neutral and
@@ -38,10 +65,16 @@ from .solver import DensityFunction, SupportFunction, ma_residual
 
 # Step control: a rejected step is halved at most _MAX_HALVINGS times in a
 # row, and run_flow multiplies dt by _DT_GROWTH after every _GROWTH_EVERY
-# consecutively accepted steps.
+# consecutively accepted steps, up to _DT_MAX unless FlowOptions.dt_max is set.
 _MAX_HALVINGS = 40
+_DT_MAX = 0.2
 _DT_GROWTH = 1.5
 _GROWTH_EVERY = 20
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    if not (0.0 < value < np.inf):
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,11 +82,18 @@ class FlowOptions:
     """Time stepping controls.
 
     dt grows by the fixed factor 1.5 after every 20 consecutively accepted
-    steps, capped at ``dt_max`` (default 1/(L(L+1)), inside the
-    explicit-Euler stability region of the linearized flow at the unit
-    sphere).  On convexity loss the step is halved and retried, at most 40
-    times in a row.  A run stops as stationary when the relative
-    change per unit time drops below ``stationarity_tol``, or at time
+    steps, capped at ``dt_max`` (default 0.2 at every bandwidth).  The
+    semi-implicit step damps the stiff Laplacian part of the speed, so no
+    stability limit ties the cap to the bandwidth: at the unit sphere the
+    damped step multiplies degree l >= 2 by
+    (1 - dt (l(l+1) - 3)) / (1 + dt l(l+1)), inside (-1, 1) for every dt.
+    The cap only bounds the explicit lower-order part (the +3 of the
+    normalization) and the nonlinearity per step; since dt ramps up from
+    ``dt_init``, a larger cap saves few steps.  On convexity loss the
+    step is halved and retried, at most 40 times in a row.  A run stops as
+    stationary when the undamped projected speed, relative to max |h|,
+    drops below ``stationarity_tol`` (the damped increment would shrink the
+    degree-l part by 1/(1 + dt kappa l(l+1)) and stop too early), or at time
     ``t_final`` when that is set (used for shrinking experiments with
     renormalization off).  After a stationary stop the rescaled profile
     must satisfy the equation with sup-norm residual at most
@@ -70,22 +110,14 @@ class FlowOptions:
     residual_check: float | None = 1e-7
 
     def __post_init__(self):
-        if self.dt_init <= 0.0:
-            raise InvalidParameter(f"dt_init must be positive, got {self.dt_init}")
-        if self.stationarity_tol <= 0.0:
-            raise InvalidParameter(
-                f"stationarity_tol must be positive, got {self.stationarity_tol}"
-            )
+        _require_positive_finite("dt_init", self.dt_init)
+        _require_positive_finite("stationarity_tol", self.stationarity_tol)
         if self.max_steps < 1:
             raise InvalidParameter(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.dt_max is not None and self.dt_max <= 0.0:
-            raise InvalidParameter(f"dt_max must be positive, got {self.dt_max}")
-        if self.t_final is not None and self.t_final <= 0.0:
-            raise InvalidParameter(f"t_final must be positive, got {self.t_final}")
-        if self.residual_check is not None and self.residual_check <= 0.0:
-            raise InvalidParameter(
-                f"residual_check must be positive or None, got {self.residual_check}"
-            )
+        for name in ("dt_max", "t_final", "residual_check"):
+            value = getattr(self, name)
+            if value is not None:
+                _require_positive_finite(name, value)
 
 
 @dataclass
@@ -117,24 +149,29 @@ def _volume_of(h: SupportFunction) -> float:
     return float(h.grid.weights @ (h.values * h.det_w)) / 3.0
 
 
-def _euler_coeffs(h: SupportFunction, fvals: np.ndarray, lam: float,
-                  dt: float) -> np.ndarray:
-    """Coefficients of the Euler step h - dt * f/det(W) + dt * lam * h."""
-    return h.grid.analyze_values(h.values - dt * fvals / h.det_w + dt * lam * h.values)
+def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
+               dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit increment a = analyze(dt * (lam h - f/det W)) and its
+    semi-implicit damping a_l / (1 + dt * kappa * l(l+1))."""
+    grid = h.grid
+    a = grid.analyze_values(dt * (lam * h.values - fvals / h.det_w))
+    kappa = float(np.max(fvals / (h.det_w * h.min_eig_w)))
+    return a, a / (1.0 - dt * kappa * grid._spec.lap_eig)
 
 
 def flow_step(h: SupportFunction, f: DensityFunction, dt: float,
               renormalize: bool = True) -> SupportFunction:
-    """One explicit Euler step of the (normalized) flow.
+    """One semi-implicit step of the (normalized) flow.
 
-    Computes h' = h - dt * f/det(W) + dt * lambda(t) * h, projects back to
-    the grid bandwidth and re-certifies convexity.  If the result is
-    inadmissible the step is halved and retried; after 40 halvings a
-    :class:`StepFailure` is raised.  With ``renormalize`` off the lambda
+    Projects the explicit increment dt * (lambda(t) * h - f/det(W)) to the
+    grid bandwidth, divides its degree-l coefficients by
+    1 + dt * kappa * l(l+1) with kappa = max f / (det W * min_eig W), adds
+    it to h and certifies convexity.  If the result is inadmissible the
+    step is halved and retried; after 40 halvings a :class:`StepFailure`
+    is raised.  With ``renormalize`` off the lambda
     term is dropped and the body shrinks.
     """
-    if dt <= 0.0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    _require_positive_finite("dt", dt)
     grid = h.grid
     fvals = f.values_on(grid)
     if renormalize:
@@ -143,8 +180,9 @@ def flow_step(h: SupportFunction, f: DensityFunction, dt: float,
         lam = 0.0
     step = dt
     for _ in range(_MAX_HALVINGS + 1):
+        _, delta = _increment(h, fvals, lam, step)
         try:
-            return SupportFunction(grid, _euler_coeffs(h, fvals, lam, step))
+            return SupportFunction(grid, h.coeffs + delta)
         except ConvexityError:
             step *= 0.5
     raise StepFailure(
@@ -159,14 +197,16 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     """Run the normalized flow to stationarity (or to a fixed time).
 
     Starting from ``h0`` (default: the round sphere matching the mean of
-    f), explicit Euler steps are taken with adaptive dt.  In the
-    renormalized mode each accepted step has its translation component
-    reflected and its volume rescaled to the initial volume, which turns
-    the gauge's neutral directions into contracting ones without moving
-    any stationary point.  A stationary profile satisfies
-    h det(W) = c_est * f; the result is rescaled by c_est^(-1/3) so it
-    solves the equation with constant 1, and the final sup-norm residual
-    is verified to be at most 1e-7.  Both rescales derive their
+    f), semi-implicit steps (see :func:`flow_step`) are taken with adaptive
+    dt.  In the renormalized mode each accepted step has its translation
+    increment negated and its volume rescaled to the initial volume, which
+    turns the gauge's neutral directions into contracting ones without
+    moving any stationary point.  The run is stationary once the undamped
+    projected speed max |lambda h - f/det W| / max |h| at the start of an
+    accepted step drops below ``opts.stationarity_tol``.  A stationary
+    profile satisfies h det(W) = c_est * f; the result is rescaled by
+    c_est^(-1/3) so it solves the equation with constant 1, and the final
+    sup-norm residual is verified to be at most 1e-7.  Both rescales derive their
     certificate from the scaling law (W scales by s, det W by s**2)
     rather than certifying the rescaled coefficients again.
 
@@ -186,7 +226,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
 
     fvals = f.values_on(grid)
     f_total = float(grid.weights @ fvals)
-    dt_cap = opts.dt_max if opts.dt_max is not None else 1.0 / (grid.L * (grid.L + 1))
+    dt_cap = opts.dt_max if opts.dt_max is not None else _DT_MAX
     dt = min(opts.dt_init, dt_cap)
     h = h0
     v_target = _volume_of(h0)
@@ -201,12 +241,12 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         if opts.t_final is not None:
             dt_step = min(dt_step, opts.t_final - t)
         lam = f_total / (3.0 * _volume_of(h)) if opts.renormalize else 0.0
-        coeffs = _euler_coeffs(h, fvals, lam, dt_step)
+        a, delta = _increment(h, fvals, lam, dt_step)
         if opts.renormalize:
             # reflect the translation modes about their previous values
-            coeffs[1:4] = 2.0 * h.coeffs[1:4] - coeffs[1:4]
+            delta[1:4] = -delta[1:4]
         try:
-            cand = SupportFunction(grid, coeffs)
+            cand = SupportFunction(grid, h.coeffs + delta)
         except ConvexityError:
             if halvings_left == 0:
                 raise StepFailure(
@@ -221,7 +261,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             scale = (v_target / _volume_of(cand)) ** (1.0 / 3.0)
             cand = cand.scaled(scale)
 
-        rate = float(np.max(np.abs(cand.values - h.values))) / (
+        rate = float(np.max(np.abs(grid.synthesize_coeffs(a)))) / (
             dt_step * float(np.max(np.abs(h.values))))
         t += dt_step
         steps_accepted += 1

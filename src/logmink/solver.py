@@ -332,8 +332,10 @@ class SolveOptions:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise InvalidParameter("tolerance must be positive")
+        if not (0.0 < self.tolerance < np.inf):
+            raise InvalidParameter(
+                f"tolerance must be positive and finite, got {self.tolerance}"
+            )
         if self.max_iterations < 1:
             raise InvalidParameter("max_iterations must be at least 1")
 

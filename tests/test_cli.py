@@ -243,6 +243,15 @@ def test_missing_density_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_infinite_tolerance_exits_2(tmp_path, capsys):
+    # an infinite tolerance would accept the initial sphere as a solution
+    code = main(["solve", "--f", "random:3,0.05,2.0", "--tol", "inf",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=8\n")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink.convex import hausdorff_distance
 from logmink.errors import GridMismatch, InvalidParameter, StepFailure
+from logmink.experiments import gen_density
 from logmink.flow import FlowOptions, FlowResult, flow_step, run_flow
-from logmink.grid import build_grid, lm_index
-from logmink.solver import DensityFunction, SupportFunction, ma_residual
+from logmink.grid import HarmonicCoeffs, build_grid, lm_index
+from logmink.solver import DensityFunction, SupportFunction, ma_residual, newton_solve
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +61,9 @@ def test_unnormalized_shrink_speed(grid):
 def test_flow_step_validation(grid):
     h = SupportFunction.constant(grid, 1.0)
     f = DensityFunction.constant(1.0)
-    with pytest.raises(InvalidParameter):
-        flow_step(h, f, dt=0.0)
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            flow_step(h, f, dt=dt)
 
 
 def test_flow_step_halving_gives_up(grid):
@@ -87,6 +90,11 @@ def test_flow_options_validation():
         FlowOptions(t_final=0.0)
     with pytest.raises(InvalidParameter):
         FlowOptions(residual_check=0.0)
+    for name in ("dt_init", "stationarity_tol", "dt_max", "t_final",
+                 "residual_check"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidParameter):
+                FlowOptions(**{name: value})
     # None is the documented way to skip the final residual check
     FlowOptions(residual_check=None)
 
@@ -140,6 +148,44 @@ def test_run_flow_certifies_once_per_step(monkeypatch):
     assert result.reason == "stationary"
     assert result.steps > 1
     assert len(calls) <= result.steps + 1
+
+
+@pytest.fixture(scope="module")
+def flow_and_newton_L32():
+    grid32 = build_grid(32)
+    f = gen_density(3, 0.05, 2.0, grid=grid32)
+    return run_flow(f, grid=grid32), newton_solve(f, grid=grid32)
+
+
+def test_flow_matches_newton_at_L32(flow_and_newton_L32):
+    flowed, newton = flow_and_newton_L32
+    assert flowed.reason == "stationary"
+    assert hausdorff_distance(flowed.h, newton.h) <= 1e-6
+
+
+def test_flow_step_count_is_bandwidth_free(grid, flow_and_newton_L32):
+    # the semi-implicit step damps the stiff l(l+1) part of the speed, so
+    # the default run needs a few hundred steps at any bandwidth, where an
+    # explicit step capped at 1/(L(L+1)) needs thousands
+    at_16 = run_flow(gen_density(3, 0.05, 2.0, grid=grid), grid=grid)
+    for result in (at_16, flow_and_newton_L32[0]):
+        assert result.reason == "stationary"
+        assert result.steps <= 600
+
+
+def test_flow_scale_equivariance(grid):
+    # f -> s**3 f moves every stationary profile h to s h and leaves the
+    # step control (lambda, kappa, the relative rate) unchanged
+    s = 2.0
+    f = gen_density(5, 0.05, 2.0, grid=grid)
+    fs = DensityFunction(HarmonicCoeffs(f.coeffs.L, s ** 3 * f.coeffs.values),
+                         s ** 3 * f.lam_lo, s ** 3 * f.lam_hi, grid=grid)
+    base = run_flow(f, grid=grid)
+    scaled = run_flow(fs, grid=grid)
+    assert scaled.reason == base.reason == "stationary"
+    assert scaled.steps == base.steps
+    assert np.max(np.abs(scaled.h.values - s * base.h.values)) <= \
+        1e-10 * s * base.h.h_sup()
 
 
 def test_flow_preserves_volume(grid):

@@ -360,10 +360,24 @@ def test_newton_grid_conflict(grid):
 
 
 def test_solve_options_validation():
-    with pytest.raises(InvalidParameter):
-        SolveOptions(tolerance=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            SolveOptions(tolerance=tol)
     with pytest.raises(InvalidParameter):
         SolveOptions(max_iterations=0)
+
+
+def test_newton_scale_equivariance(grid):
+    # h det(Hess h + h I) is homogeneous of degree 3, so the density
+    # s**3 f is solved by s h; the absolute residual tolerance scales too
+    s = 2.0
+    tol = 1e-9
+    f = gen_density(5, 0.05, 2.0, grid=grid)
+    fs = DensityFunction(HarmonicCoeffs(f.coeffs.L, s ** 3 * f.coeffs.values),
+                         s ** 3 * f.lam_lo, s ** 3 * f.lam_hi, grid=grid)
+    h = newton_solve(f, grid=grid, opts=SolveOptions(tolerance=tol)).h
+    hs = newton_solve(fs, grid=grid, opts=SolveOptions(tolerance=s ** 3 * tol)).h
+    assert np.max(np.abs(hs.values - s * h.values)) <= 1e-10 * s * h.h_sup()
 
 
 def test_report_csv_schema(grid):
