@@ -113,8 +113,14 @@ def parse_density(descriptor: str, grid) -> DensityFunction:
             raise InvalidParameter(
                 f"random preset wants seed,eps,lambda, got {arg!r}"
             )
-        return gen_density(int(parts[0]), float(parts[1]), float(parts[2]),
-                           grid=grid)
+        try:
+            seed, eps, lam = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise InvalidParameter(
+                f"random preset wants integer seed and numeric eps,lambda, "
+                f"got {arg!r}"
+            ) from exc
+        return gen_density(seed, eps, lam, grid=grid)
     raise InvalidParameter(f"unknown density preset {preset!r}")
 
 
@@ -123,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--grid-L", dest="grid_L", type=int, default=None,
                         help="spherical grid bandwidth (default 16)")
     shared.add_argument("--tol", type=float, default=None,
-                        help="solver residual tolerance / flow stationarity tolerance")
+                        help="solver residual tolerance relative to mean f / "
+                             "flow stationarity tolerance")
     shared.add_argument("--out", default=None,
                         help="output directory (default current directory)")
     shared.add_argument("--seed", type=int, default=None,

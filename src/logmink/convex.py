@@ -42,6 +42,7 @@ _MERGE_TOL = 1e-9          # facets merge when 1 - n_i . n_j <= this
 _VERTEX_SLACK = 1e-9       # feasibility slack nu . x <= h + slack
 _ORIGIN_TOL = 1e-9         # origin-in-closure slack on support numbers
 _UNIT_TOL = 1e-10
+_REFRESH_EVERY = 64        # ellipsoid rank-one updates between exact inverses
 
 
 def _as_points(points, minimum: int) -> np.ndarray:
@@ -64,14 +65,14 @@ def _require_full_rank(pts: np.ndarray) -> None:
         )
 
 
-def _orthobasis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal in-plane basis (t1, t2) with t1 x t2 = normal."""
-    k = int(np.argmin(np.abs(normal)))
-    axis = np.zeros(3)
-    axis[k] = 1.0
-    t1 = axis - normal[k] * normal
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(normal, t1)
+def _orthobasis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal in-plane bases (t1, t2) with t1 x t2 = normal, per row."""
+    rows = np.arange(normals.shape[0])
+    k = np.argmin(np.abs(normals), axis=1)
+    t1 = -normals[rows, k][:, None] * normals
+    t1[rows, k] += 1.0
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(normals, t1)
     return t1, t2
 
 
@@ -323,6 +324,35 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+def _planar_facets(coords: np.ndarray, normals: np.ndarray, min_area: float):
+    """Geometry of g planar facets with k vertices each, in one batch.
+
+    ``coords`` is (g, k, 3), the member points of each facet in any order;
+    ``normals`` is (g, 3), their unit outward normals.  Returns the support
+    numbers (g,), the counter-clockwise vertex order about each normal
+    (g, k), the polygon areas (g,) and the area centroids (g, 3).  Raises
+    :class:`DimensionDeficient` if an area is at most ``min_area``.
+    """
+    offsets = np.einsum("gkj,gj->gk", coords, normals).max(axis=1)
+    t1, t2 = _orthobasis(normals)
+    base = coords.mean(axis=1)
+    rel = coords - base[:, None, :]
+    x = np.einsum("gkj,gj->gk", rel, t1)
+    y = np.einsum("gkj,gj->gk", rel, t2)
+    order = np.argsort(np.arctan2(y, x), axis=1)
+    x = np.take_along_axis(x, order, axis=1)
+    y = np.take_along_axis(y, order, axis=1)
+    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    cross2 = x * yn - xn * y
+    areas = 0.5 * cross2.sum(axis=1)
+    if np.min(areas) <= min_area:
+        raise DimensionDeficient("hull produced a zero-area facet")
+    cx = ((x + xn) * cross2).sum(axis=1) / (6.0 * areas)
+    cy = ((y + yn) * cross2).sum(axis=1) / (6.0 * areas)
+    centroids = base + cx[:, None] * t1 + cy[:, None] * t2
+    return offsets, order, areas, centroids
+
+
 def convex_hull_3d(points) -> Polytope:
     """Convex hull of a 3D point cloud with coplanar facets merged.
 
@@ -330,8 +360,11 @@ def convex_hull_3d(points) -> Polytope:
     input.  Triangles from the hull construction are merged into maximal
     planar facets whenever adjacent normals agree to within 1e-9 (measured
     as 1 - cos of the dihedral angle), so each genuine face contributes a
-    single measure atom.  Raises :class:`DimensionDeficient` for coplanar
-    input.
+    single measure atom.  A merged facet's normal is the area-weighted mean
+    of its triangles' normals.  Facets are ordered by their smallest qhull
+    triangle index.  The facet geometry is computed in batch, one batch per
+    distinct vertex count, so no Python loop runs over the facets except to
+    wrap them.  Raises :class:`DimensionDeficient` for coplanar input.
     """
     pts = _as_points(points, minimum=4)
     _require_full_rank(pts)
@@ -353,52 +386,56 @@ def convex_hull_3d(points) -> Polytope:
     cross = np.cross(tri_pts[:, 1] - tri_pts[:, 0], tri_pts[:, 2] - tri_pts[:, 0])
     tri_areas = 0.5 * np.linalg.norm(cross, axis=1)
 
+    # merge candidates: each adjacent pair once, with nearly equal normals
+    first = np.repeat(np.arange(n_tri), 3)
+    second = hull.neighbors.ravel()
+    cosines = np.einsum("ij,ij->i", normals[first], normals[second])
+    merge = (second > first) & (1.0 - cosines <= _MERGE_TOL)
     uf = _UnionFind(n_tri)
-    for i in range(n_tri):
-        for j in hull.neighbors[i]:
-            if j > i and 1.0 - normals[i] @ normals[j] <= _MERGE_TOL:
-                uf.union(i, int(j))
+    for i, j in zip(first[merge].tolist(), second[merge].tolist()):
+        uf.union(i, j)
+    roots = np.arange(n_tri)
+    touched = np.unique(np.concatenate((first[merge], second[merge])))
+    roots[touched] = [uf.find(int(i)) for i in touched]
+    # union keeps the smaller root, so sorted roots order groups by their
+    # smallest triangle index
+    _, group = np.unique(roots, return_inverse=True)
+    n_groups = int(group.max()) + 1
 
-    groups: dict[int, list[int]] = {}
-    for i in range(n_tri):
-        groups.setdefault(uf.find(i), []).append(i)
+    facet_normals = np.zeros((n_groups, 3))
+    np.add.at(facet_normals, group, tri_areas[:, None] * normals)
+    facet_normals /= np.linalg.norm(facet_normals, axis=1)[:, None]
 
-    scale = float(np.max(np.abs(vertices))) + 1.0
-    facets = []
-    for root in sorted(groups):
-        tris = groups[root]
-        weighted = tri_areas[tris][:, None] * normals[tris]
-        normal = weighted.sum(axis=0)
-        normal /= np.linalg.norm(normal)
-        member_ids = np.unique(simplices[tris])
-        coords = pts[member_ids]
-        offset = float(np.max(coords @ normal))
+    # sorted member point ids of every group, groups contiguous
+    keys = np.unique(group[:, None] * pts.shape[0] + simplices)
+    member_group, members = np.divmod(keys, pts.shape[0])
+    counts = np.bincount(member_group, minlength=n_groups)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
-        t1, t2 = _orthobasis(normal)
-        rel = coords - coords.mean(axis=0)
-        xy = np.column_stack((rel @ t1, rel @ t2))
-        order = np.argsort(np.arctan2(xy[:, 1], xy[:, 0]))
-        xy = xy[order]
-        x, y = xy[:, 0], xy[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross2 = x * yn - xn * y
-        area = 0.5 * float(np.sum(cross2))
-        if area <= 1e-14 * scale * scale:
-            raise DimensionDeficient("hull produced a zero-area facet")
-        cx = float(np.sum((x + xn) * cross2)) / (6.0 * area)
-        cy = float(np.sum((y + yn) * cross2)) / (6.0 * area)
-        base = coords.mean(axis=0)
-        centroid = base + cx * t1 + cy * t2
-        loop = tuple(int(relabel[v]) for v in member_ids[order])
-        facets.append(Facet(normal, offset, loop, area, centroid))
+    min_area = 1e-14 * (float(np.max(np.abs(vertices))) + 1.0) ** 2
+    offsets = np.empty(n_groups)
+    areas = np.empty(n_groups)
+    centroids = np.empty((n_groups, 3))
+    loops = [()] * n_groups
+    for k in np.unique(counts).tolist():
+        sel = np.nonzero(counts == k)[0]
+        ids = members[starts[sel][:, None] + np.arange(k)]
+        offsets[sel], order, areas[sel], centroids[sel] = _planar_facets(
+            pts[ids], facet_normals[sel], min_area)
+        for g, loop in zip(sel.tolist(),
+                           relabel[np.take_along_axis(ids, order, axis=1)].tolist()):
+            loops[g] = tuple(loop)
 
-    offsets = np.array([f.offset for f in facets])
-    gaps = vertices @ np.array([f.normal for f in facets]).T - offsets
+    gaps = vertices @ facet_normals.T - offsets
     worst = float(np.max(gaps))
     if worst > _VERTEX_SLACK:
         raise InvalidParameter(
             f"internal hull inconsistency: vertex violates a facet by {worst:.3e}"
         )
+    facets = [
+        Facet(facet_normals[g], offset, loops[g], area, centroids[g])
+        for g, (offset, area) in enumerate(zip(offsets.tolist(), areas.tolist()))
+    ]
     return Polytope(vertices, facets, vertices.mean(axis=0))
 
 
@@ -491,16 +528,35 @@ def polytope_from_support(h: SupportFunction) -> Polytope:
     return convex_hull_3d(points)
 
 
+def _lifted_inverse(lifted: np.ndarray, u: np.ndarray):
+    """Exact X^-1 and M_i = q_i^T X^-1 q_i for X = sum_i u_i q_i q_i^T."""
+    X = (lifted * u[:, None]).T @ lifted
+    try:
+        Xinv = np.linalg.inv(X)
+    except np.linalg.LinAlgError as exc:
+        raise DimensionDeficient(
+            "weighted scatter matrix is singular; points are degenerate"
+        ) from exc
+    return Xinv, np.einsum("ij,ij->i", lifted @ Xinv, lifted)
+
+
 def enclosing_ellipsoid(body, tolerance: float = 1e-7,
                         max_iterations: int = 100000) -> Ellipsoid:
     """Minimum-volume enclosing ellipsoid of a polytope or point cloud.
 
-    Runs Khachiyan's barycentric-coordinate ascent on the lifted points,
-    with away steps on the support of the weight vector so the optimality
-    gap decays linearly rather than as 1/k.  Iteration stops when the
-    largest lifted Mahalanobis value is within ``tolerance`` of its
-    optimum; the cap of 1e5 iterations raises
-    :class:`ConvergenceFailure` if hit first.
+    Runs Khachiyan's barycentric-coordinate ascent on the lifted points
+    q_i = (x_i, 1), with away steps on the support of the weight vector u
+    so the optimality gap decays linearly rather than as 1/k.  Each step
+    changes the scatter matrix X = sum u_i q_i q_i^T by one rank-one term,
+    so X^-1 and the lifted Mahalanobis values M_i = q_i^T X^-1 q_i are
+    carried by Sherman-Morrison updates and recomputed from u only every
+    64 updates, after a non-positive update denominator, and before a
+    stop is accepted.  Iteration stops when the exactly recomputed max M_i
+    is within ``tolerance`` (relative) of its optimum 4, which puts every
+    point within Mahalanobis distance sqrt(1 + 4 tolerance / 3) of the
+    returned ellipsoid's center.  ``tolerance`` must be positive and
+    finite; hitting ``max_iterations`` ascent steps (default 1e5) first
+    raises :class:`ConvergenceFailure`.
     """
     if isinstance(body, Polytope):
         pts = body.vertices
@@ -508,37 +564,39 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
         pts = _as_points(body, minimum=4)
         _require_full_rank(pts)
     m = pts.shape[0]
-    if tolerance <= 0.0:
-        raise InvalidParameter(f"tolerance must be positive, got {tolerance}")
+    if not (0.0 < tolerance < np.inf):
+        raise InvalidParameter(
+            f"tolerance must be positive and finite, got {tolerance}"
+        )
     if max_iterations < 1:
         raise InvalidParameter(f"max_iterations must be >= 1, got {max_iterations}")
 
     lifted = np.column_stack((pts, np.ones(m)))
     dim = 4
     u = np.full(m, 1.0 / m)
+    off_support = np.zeros(m)  # +inf where u_i = 0, so away steps skip i
+    Xinv, M = _lifted_inverse(lifted, u)
+    updates = 0  # rank-one updates since the last exact recomputation
     gap = np.inf
     for _ in range(int(max_iterations)):
-        X = (lifted * u[:, None]).T @ lifted
-        try:
-            Xinv = np.linalg.inv(X)
-        except np.linalg.LinAlgError as exc:
-            raise DimensionDeficient(
-                "weighted scatter matrix is singular; points are degenerate"
-            ) from exc
-        M = np.einsum("ij,ij->i", lifted @ Xinv, lifted)
-        j_add = int(np.argmax(M))
-        kappa_add = float(M[j_add])
-        gap = kappa_add - dim
+        j_add = int(M.argmax())
+        gap = float(M[j_add]) - dim
+        if gap <= dim * tolerance and updates > 0:
+            # accept only on exactly recomputed values
+            Xinv, M = _lifted_inverse(lifted, u)
+            updates = 0
+            j_add = int(M.argmax())
+            gap = float(M[j_add]) - dim
         if gap <= dim * tolerance:
             break
-        on_support = u > 0.0
-        support_ids = np.nonzero(on_support)[0]
-        j_away = int(support_ids[np.argmin(M[support_ids])])
+        kappa_add = float(M[j_add])
+        j_away = int((M + off_support).argmin())
         kappa_away = float(M[j_away])
         if gap >= dim - kappa_away:
             beta = gap / (dim * (kappa_add - 1.0))
             u *= 1.0 - beta
             u[j_add] += beta
+            j, a, c = j_add, 1.0 - beta, beta
         else:
             cap = u[j_away] / (1.0 - u[j_away])
             if kappa_away > 1.0:
@@ -548,6 +606,24 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
             u *= 1.0 + beta
             u[j_away] -= beta
             u[j_away] = max(u[j_away], 0.0)
+            j, a, c = j_away, 1.0 + beta, -beta
+        # u scales by a, except at j, so only j can enter or leave the support
+        off_support[j] = 0.0 if u[j] > 0.0 else np.inf
+        # X' = a X + c q_j q_j^T
+        denom = a + c * float(M[j])
+        updates += 1
+        if updates >= _REFRESH_EVERY or not (0.0 < denom < np.inf):
+            Xinv, M = _lifted_inverse(lifted, u)
+            updates = 0
+        else:
+            w = Xinv @ lifted[j]
+            g = lifted @ w
+            g *= g
+            g *= c / denom
+            M -= g
+            M /= a
+            Xinv -= (c / denom) * (w[:, None] * w)
+            Xinv /= a
     else:
         raise ConvergenceFailure(
             f"ellipsoid iteration did not reach tolerance {tolerance:g} in "
@@ -633,8 +709,10 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
     rounded parts are faceted.  The result contains P + radius * B and
     tightens as directions are added.
     """
-    if radius <= 0.0:
-        raise InvalidParameter(f"offset radius must be positive, got {radius}")
+    if not (0.0 < radius < np.inf):
+        raise InvalidParameter(
+            f"offset radius must be positive and finite, got {radius}"
+        )
     if n_directions < 4:
         raise InvalidParameter(f"need at least 4 directions, got {n_directions}")
     dirs = np.vstack((P.facet_normals(), _spiral_directions(int(n_directions))))

@@ -59,10 +59,10 @@ class ExperimentSpec:
             )
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
-        if self.eps < 0.0:
-            raise InvalidParameter(f"eps must be >= 0, got {self.eps}")
-        if self.lam <= 1.0:
-            raise InvalidParameter(f"lam must be > 1, got {self.lam}")
+        if not (0.0 <= self.eps < np.inf):
+            raise InvalidParameter(f"eps must be finite and >= 0, got {self.eps}")
+        if not (1.0 < self.lam < np.inf):
+            raise InvalidParameter(f"lam must be finite and > 1, got {self.lam}")
         if not isinstance(self.L, int) or isinstance(self.L, bool):
             raise InvalidParameter(f"bandwidth L must be an integer, got {self.L!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
@@ -142,10 +142,10 @@ def gen_density(seed: int, eps: float, lam: float, L: int = 16,
     0.8 and the check retried; after 100 retries
     :class:`GenerationFailure` is raised.
     """
-    if eps < 0.0:
-        raise InvalidParameter(f"eps must be >= 0, got {eps}")
-    if lam <= 1.0:
-        raise InvalidParameter(f"lam must be > 1, got {lam}")
+    if not (0.0 <= eps < np.inf):
+        raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
+    if not (1.0 < lam < np.inf):
+        raise InvalidParameter(f"lam must be finite and > 1, got {lam}")
     if grid is None:
         grid = build_grid(L)
     if eps == 0.0:

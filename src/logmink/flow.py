@@ -97,8 +97,9 @@ class FlowOptions:
     ``t_final`` when that is set (used for shrinking experiments with
     renormalization off).  After a stationary stop the rescaled profile
     must satisfy the equation with sup-norm residual at most
-    ``residual_check``; set it to None when running with a loose
-    stationarity tolerance on purpose.
+    ``residual_check`` times the mean density (a relative bound, like
+    :class:`SolveOptions` ``tolerance``); set it to None when running with
+    a loose stationarity tolerance on purpose.
     """
 
     dt_init: float = 1e-3
@@ -282,10 +283,11 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             c_est = float(grid.weights @ (h.values * h.det_w)) / f_total
             h_final = h.scaled(c_est ** (-1.0 / 3.0))
             residual = float(np.max(np.abs(ma_residual(h_final, f).values)))
-            if opts.residual_check is not None and residual > opts.residual_check:
+            if (opts.residual_check is not None
+                    and residual > opts.residual_check * f.mean()):
                 raise ConvergenceFailure(
                     f"stationary profile fails the equation: residual "
-                    f"{residual:.3e} > {opts.residual_check:g}",
+                    f"{residual:.3e} > {opts.residual_check:g} * mean f",
                     residual=residual, iterations=steps_accepted,
                 )
             return FlowResult(h=h_final, steps=steps_accepted, t_end=t,

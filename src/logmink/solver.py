@@ -237,10 +237,15 @@ class DensityFunction:
         ``(1, 0, 0.1)`` produces exactly ``1 + 0.1 (u . e3)``.  Bounds are
         the attained range on the grid.
         """
-        terms = list(terms)
+        try:
+            terms = [(int(l), int(m), float(amp)) for l, m, amp in terms]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(
+                f"harmonic terms must be (l, m, amplitude) triples, got {terms!r}"
+            ) from exc
         if not terms:
             raise InvalidParameter("at least one (l, m, amplitude) term required")
-        Lmax = max(int(l) for l, _, _ in terms)
+        Lmax = max(l for l, _, _ in terms)
         if grid is None:
             grid = build_grid(max(4, Lmax))
         if Lmax > grid.L:
@@ -249,7 +254,7 @@ class DensityFunction:
             )
         c = np.zeros(coeff_count(Lmax))
         for l, m, amp in terms:
-            c[lm_index(int(l), int(m))] += float(amp) / _harmonic_sup(int(l), int(m))
+            c[lm_index(l, m)] += amp / _harmonic_sup(l, m)
         c[0] += base * np.sqrt(4.0 * np.pi)
         coeffs = HarmonicCoeffs(Lmax, c)
         vals = grid.synthesize_coeffs(coeffs.embedded(grid.L).values)
@@ -323,7 +328,10 @@ class SolveOptions:
     Attributes
     ----------
     tolerance : float
-        Residual sup-norm at which the solve is accepted.
+        Relative residual at which the solve is accepted:
+        ``sup |h det W - f| <= tolerance * mean f``.  Relative to the mean
+        density, so the test is invariant under the scaling f -> s^3 f,
+        h -> s h; for mean-1 densities it is the absolute sup-norm bound.
     max_iterations : int
         Newton iteration cap.
     """
@@ -430,7 +438,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     Returns
     -------
     NewtonResult
-        With ``h`` satisfying ``sup |h det W - f| <= opts.tolerance``.
+        With ``h`` satisfying ``sup |h det W - f| <= opts.tolerance * f.mean()``.
 
     Raises
     ------
@@ -448,6 +456,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
         h0 = SupportFunction.constant(work_grid, f.mean() ** (1.0 / 3.0))
 
     fv = f.values_on(work_grid)
+    threshold = opts.tolerance * f.mean()
     h = h0
     residual = h.values * h.det_w - fv
     res_sup = float(np.max(np.abs(residual)))
@@ -455,7 +464,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     matrix = None
 
     for it in range(1, opts.max_iterations + 1):
-        if res_sup <= opts.tolerance:
+        if res_sup <= threshold:
             break
         matrix = _jacobian_matrix(h)
         rhs = -(work_grid._spec.A @ residual)
@@ -489,10 +498,10 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             )
         rows.append((it, res_sup, float(h.values.min()), float(h.min_eig_w.min()), step))
 
-    converged = res_sup <= opts.tolerance
+    converged = res_sup <= threshold
     if not converged:
         raise ConvergenceFailure(
-            f"Newton did not reach tolerance {opts.tolerance:.3e} in "
+            f"Newton did not reach tolerance {opts.tolerance:.3e} relative to mean f in "
             f"{opts.max_iterations} iterations (residual {res_sup:.3e})",
             residual=res_sup, iterations=opts.max_iterations,
         )

@@ -252,6 +252,24 @@ def test_infinite_tolerance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("preset", [
+    "random:x,0.1,2",               # non-integer seed
+    "random:1,nan,2",               # non-finite eps
+    "random:1,0.1,inf",             # non-finite lambda
+    "harmonics:[1,2]",              # terms that are not tuples
+    "harmonics:5",                  # not a list at all
+    "harmonics:[(1,0)]",            # a term with two entries
+    "harmonics:[(1,'a',0.1)]",      # a non-numeric order
+])
+def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
+    code = main(["solve", "--f", preset, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=8\n")

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
+from logmink import convex
 from logmink.convex import (
     DiscreteMeasure,
     Ellipsoid,
@@ -25,13 +28,15 @@ from logmink.convex import (
     volume_from_support,
 )
 from logmink.errors import (
+    ConvergenceFailure,
     DimensionDeficient,
     GridMismatch,
     InvalidParameter,
     OriginNotContained,
 )
-from logmink.grid import ScalarField, build_grid
-from logmink.solver import SupportFunction
+from logmink.experiments import gen_density
+from logmink.grid import ScalarField, build_grid, tangential_gradient
+from logmink.solver import SolveOptions, SupportFunction, newton_solve
 
 
 def cube_points(half=1.0):
@@ -43,6 +48,22 @@ def cube_points(half=1.0):
 def random_cloud(seed, n=40):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, 3))
+
+
+@pytest.fixture(scope="module")
+def newton_boundaries():
+    """Boundary points x(u) = grad h + h u of three L=16 Newton solutions.
+
+    Their hulls have about 1130 facets, mostly triangles with 15-20 merged
+    quadrilaterals, and their ellipsoids take thousands of ascent steps.
+    """
+    grid = build_grid(16)
+    clouds = []
+    for seed in (700001, 700002, 700003):
+        f = gen_density(seed, 0.05, 2.0, grid=grid)
+        h = newton_solve(f, grid=grid, opts=SolveOptions(tolerance=1e-8)).h
+        clouds.append(tangential_gradient(h.field) + h.values[:, None] * grid.nodes)
+    return clouds
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +96,82 @@ def test_hull_merges_coplanar_triangles():
     assert P.n_facets == 6
     for facet in P.facets:
         assert len(facet.loop) == 4
+
+
+def _newell(loop_points):
+    """Area vector (1/2) sum v_i x v_(i+1) of a closed polygon."""
+    return 0.5 * np.cross(loop_points, np.roll(loop_points, -1, axis=0)).sum(axis=0)
+
+
+def _merge_groups(points):
+    """Facet grouping from scratch: connected components of qhull's
+    triangle adjacency graph restricted to normals within the merge
+    tolerance, listed by their smallest triangle index."""
+    hull = ConvexHull(points)
+    n_tri = hull.simplices.shape[0]
+    rows = np.repeat(np.arange(n_tri), 3)
+    cols = hull.neighbors.ravel()
+    normals = hull.equations[:, :3]
+    close = 1.0 - np.sum(normals[rows] * normals[cols], axis=1) <= 1e-9
+    graph = coo_matrix((np.ones(int(close.sum())), (rows[close], cols[close])),
+                       shape=(n_tri, n_tri))
+    _, label = connected_components(graph, directed=False)
+    groups = {}
+    for tri, lab in enumerate(label):
+        groups.setdefault(lab, set()).update(hull.simplices[tri].tolist())
+    return [frozenset(map(tuple, points[sorted(ids)])) for ids in groups.values()]
+
+
+@pytest.mark.parametrize("body", ["cube", "cloud", "newton"])
+def test_hull_facets_match_independent_oracles(body, newton_boundaries):
+    points = {"cube": cube_points(1.5) * np.array([1.0, 2.0, 3.0]),
+              "cloud": random_cloud(3),
+              "newton": newton_boundaries[0]}[body]
+    P = convex_hull_3d(points)
+    sizes = [len(f.loop) for f in P.facets]
+    if body == "cube":
+        assert sizes == [4] * 6
+    elif body == "cloud":
+        assert set(sizes) == {3}
+    else:
+        assert 3 in sizes and sum(k > 3 for k in sizes) >= 5
+    # one facet per merge group, in the order of the groups' first triangles
+    groups = _merge_groups(points)
+    assert [frozenset(map(tuple, P.vertices[list(f.loop)])) for f in P.facets] == groups
+    for f in P.facets:
+        rel = P.vertices[list(f.loop)] - P.vertices[list(f.loop)].mean(axis=0)
+        area_vector = _newell(rel)
+        normal = area_vector / np.linalg.norm(area_vector)
+        assert np.max(np.abs(normal - f.normal)) <= 1e-13
+        # counter-clockwise about the outward normal, and convex: every
+        # turn of the loop is a left turn
+        edges = np.roll(rel, -1, axis=0) - rel
+        assert np.all(np.cross(edges, np.roll(edges, -1, axis=0)) @ f.normal > 0.0)
+        # area and centroid of the loop projected onto its mean plane,
+        # by the 3D shoelace formula and a fan of triangles
+        flat = rel - np.outer(rel @ normal, normal)
+        assert abs(np.linalg.norm(_newell(flat)) - f.area) <= 1e-13
+        fan = np.cross(flat[1:-1] - flat[0], flat[2:] - flat[0]) @ normal
+        tri_centroids = (flat[0] + flat[1:-1] + flat[2:]) / 3.0
+        centroid = fan @ tri_centroids / fan.sum() + P.vertices[list(f.loop)].mean(axis=0)
+        assert np.max(np.abs(centroid - f.centroid)) <= 1e-13
+        assert abs(np.max(P.vertices[list(f.loop)] @ f.normal) - f.offset) <= 1e-13
+
+
+def test_hull_batches_facet_geometry_by_vertex_count(monkeypatch, newton_boundaries):
+    # structural guard: the in-plane bases are built once per distinct
+    # facet size (triangles, quadrilaterals, ...), never once per facet
+    calls = []
+    orthobasis = convex._orthobasis
+
+    def counting(normals):
+        calls.append(normals.shape[0])
+        return orthobasis(normals)
+
+    monkeypatch.setattr(convex, "_orthobasis", counting)
+    P = convex_hull_3d(newton_boundaries[0])
+    assert len(calls) == len({len(f.loop) for f in P.facets})
+    assert sum(calls) == P.n_facets
 
 
 def test_sphere_cloud_all_extreme():
@@ -356,6 +453,60 @@ def test_ellipsoid_tolerance_validation():
     P = convex_hull_3d(cube_points())
     with pytest.raises(InvalidParameter):
         enclosing_ellipsoid(P, tolerance=0.0)
+
+
+def test_ellipsoid_certificate_on_newton_bodies(newton_boundaries):
+    # the accepted lifted gap max M_i <= 4 (1 + tol) gives every vertex a
+    # Mahalanobis distance at most sqrt(1 + 4 tol / 3) <= 1 + 4 tol / 3
+    tol = 1e-4
+    for points in newton_boundaries:
+        P = convex_hull_3d(points)
+        E = enclosing_ellipsoid(P, tolerance=tol)
+        assert np.max(E.mahalanobis(P.vertices)) <= 1.0 + 4.0 * tol / 3.0 + 1e-12
+
+
+def test_ellipsoid_certificate_on_random_clouds():
+    tol = 1e-7
+    for seed in range(100):
+        P = convex_hull_3d(random_cloud(seed, n=25))
+        E = enclosing_ellipsoid(P, tolerance=tol)
+        assert np.max(E.mahalanobis(P.vertices)) <= 1.0 + 4.0 * tol / 3.0 + 1e-12
+
+
+def test_ellipsoid_iteration_cap(newton_boundaries):
+    P = convex_hull_3d(newton_boundaries[1])
+    for cap in (1, 5):
+        with pytest.raises(ConvergenceFailure) as err:
+            enclosing_ellipsoid(P, max_iterations=cap)
+        assert err.value.iterations == cap
+
+
+def test_ellipsoid_inverts_only_to_refresh(monkeypatch, newton_boundaries):
+    # structural guard: ascent steps update X^-1 by rank one; exact
+    # inverses run only at the start and at the periodic refreshes
+    P = convex_hull_3d(newton_boundaries[0])
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        calls.append(1)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    with pytest.raises(ConvergenceFailure):
+        enclosing_ellipsoid(P, max_iterations=2000)
+    assert len(calls) <= 2000 / convex._REFRESH_EVERY + 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+def test_convex_parameters_must_be_positive_and_finite(bad):
+    P = convex_hull_3d(cube_points())
+    with pytest.raises(InvalidParameter):
+        enclosing_ellipsoid(P, tolerance=bad)
+    with pytest.raises(InvalidParameter):
+        blowdown_diagnostics(P, ellipsoid_tolerance=bad)
+    with pytest.raises(InvalidParameter):
+        ball_offset_outer(P, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -367,17 +367,33 @@ def test_solve_options_validation():
         SolveOptions(max_iterations=0)
 
 
+def _dilated(f, factor, grid):
+    """The density factor * f with bounds scaled to match."""
+    return DensityFunction(HarmonicCoeffs(f.coeffs.L, factor * f.coeffs.values),
+                           factor * f.lam_lo, factor * f.lam_hi, grid=grid)
+
+
 def test_newton_scale_equivariance(grid):
     # h det(Hess h + h I) is homogeneous of degree 3, so the density
-    # s**3 f is solved by s h; the absolute residual tolerance scales too
+    # s**3 f is solved by s h; the tolerance is relative to mean f, so the
+    # same options serve both solves
     s = 2.0
-    tol = 1e-9
+    opts = SolveOptions(tolerance=1e-9)
     f = gen_density(5, 0.05, 2.0, grid=grid)
-    fs = DensityFunction(HarmonicCoeffs(f.coeffs.L, s ** 3 * f.coeffs.values),
-                         s ** 3 * f.lam_lo, s ** 3 * f.lam_hi, grid=grid)
-    h = newton_solve(f, grid=grid, opts=SolveOptions(tolerance=tol)).h
-    hs = newton_solve(fs, grid=grid, opts=SolveOptions(tolerance=s ** 3 * tol)).h
+    h = newton_solve(f, grid=grid, opts=opts).h
+    hs = newton_solve(_dilated(f, s ** 3, grid), grid=grid, opts=opts).h
     assert np.max(np.abs(hs.values - s * h.values)) <= 1e-10 * s * h.h_sup()
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_newton_default_tolerance_is_scale_free(grid, seed):
+    # with an absolute tolerance these dilated densities stall at residuals
+    # of 1-2e-10, eight times the undilated floor, above the 1e-10 default
+    f = _dilated(gen_density(seed, 0.05, 2.0, grid=grid), 8.0, grid)
+    result = newton_solve(f, grid=grid)
+    assert result.converged
+    assert result.residual_sup <= SolveOptions().tolerance * f.mean()
+    assert f.mean() == 8.0
 
 
 def test_report_csv_schema(grid):
