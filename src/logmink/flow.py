@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
 from .grid import SphericalGrid, build_grid, require_same_grid
-from .solver import DensityFunction, SupportFunction, ma_residual
+from .solver import DensityFunction, SupportFunction, _aliasing_floor_note, ma_residual
 
 # Step control: a rejected step is halved at most _MAX_HALVINGS times in a
 # row, and run_flow multiplies dt by _DT_GROWTH after every _GROWTH_EVERY
@@ -282,12 +282,17 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         if rate <= opts.stationarity_tol:
             c_est = float(grid.weights @ (h.values * h.det_w)) / f_total
             h_final = h.scaled(c_est ** (-1.0 / 3.0))
-            residual = float(np.max(np.abs(ma_residual(h_final, f).values)))
+            residual_values = ma_residual(h_final, f).values
+            residual = float(np.max(np.abs(residual_values)))
             if (opts.residual_check is not None
                     and residual > opts.residual_check * f.mean()):
+                projected = float(np.max(np.abs(grid.analyze_values(residual_values))))
                 raise ConvergenceFailure(
                     f"stationary profile fails the equation: residual "
-                    f"{residual:.3e} > {opts.residual_check:g} * mean f",
+                    f"{residual:.3e} > {opts.residual_check:g} * mean f"
+                    + _aliasing_floor_note(residual, projected,
+                                           opts.residual_check * f.mean(), grid.L,
+                                           "raise --grid-L or loosen residual_check"),
                     residual=residual, iterations=steps_accepted,
                 )
             return FlowResult(h=h_final, steps=steps_accepted, t_end=t,

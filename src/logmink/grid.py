@@ -18,6 +18,15 @@ harmonics exactly (polynomial degree ``2L`` in ``cos(theta)`` against a
 rule exact through ``2L+1``), making analysis an exact left inverse of
 synthesis on band-limited data.  Poles are never nodes.
 
+Every real basis function is a colatitude part times a longitude part, and
+so is each of its derivatives in the node frame.  The operators are
+therefore built from ``nlat x C`` ring tables (``C = (L+1)**2``) and one
+``nlon x (2L+1)`` table of signed-order longitude factors: each dense
+``n x C`` node matrix is a single broadcast product of the two, which keeps
+the build at O(L**4) time and memory with no per-(l, m) loop.  The dense
+matrices serve the transforms; the Newton Jacobian is assembled from the
+ring tables alone in O(L**5) (see ``solver._jacobian_matrix``).
+
 Conventions
 -----------
 * Node ordering is colatitude-major: node ``i = j*nlon + k`` sits at
@@ -83,12 +92,9 @@ def coeff_count(L: int) -> int:
 
 def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of degree l and signed order m indexed by flat coefficient."""
-    ls = np.empty(coeff_count(L), dtype=int)
-    ms = np.empty(coeff_count(L), dtype=int)
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            ls[lm_index(l, m)] = l
-            ms[lm_index(l, m)] = m
+    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    # inverts lm_index: index = l*l + l + m
+    ms = np.arange(coeff_count(L)) - ls * (ls + 1)
     return ls, ms
 
 
@@ -149,31 +155,17 @@ def _theta_basis(L: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, dP
 
 
-def _basis_matrices(L: int, theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and theta-derivatives of the real basis on a product grid.
+def _trig_table(L: int, phi: np.ndarray) -> np.ndarray:
+    """Signed-order longitude factors of the real basis.
 
-    Returns ``(Y, DT)`` of shape ``(len(theta)*len(phi), (L+1)**2)`` in
-    colatitude-major node order.
+    Returns shape ``(len(phi), 2L+1)``; column ``m + L`` holds
+    ``sqrt(2) cos(m phi)`` for ``m > 0``, ``sqrt(2) sin(|m| phi)`` for
+    ``m < 0`` and 1 for ``m = 0``.
     """
-    mu = np.cos(theta)
-    theta_part, dtheta_part = _theta_basis(L, mu)
-    nlat, nlon = len(theta), len(phi)
-    C = coeff_count(L)
-    Y = np.empty((nlat * nlon, C))
-    DT = np.empty((nlat * nlon, C))
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            if m > 0:
-                trig = np.sqrt(2.0) * np.cos(m * phi)
-            elif m < 0:
-                trig = np.sqrt(2.0) * np.sin(am * phi)
-            else:
-                trig = np.ones_like(phi)
-            idx = lm_index(l, m)
-            Y[:, idx] = np.outer(theta_part[:, l, am], trig).ravel()
-            DT[:, idx] = np.outer(dtheta_part[:, l, am], trig).ravel()
-    return Y, DT
+    angle = np.outer(phi, np.arange(1, L + 1))
+    root2 = np.sqrt(2.0)
+    return np.hstack([root2 * np.sin(angle[:, ::-1]), np.ones((len(phi), 1)),
+                      root2 * np.cos(angle)])
 
 
 class SphericalGrid:
@@ -236,41 +228,67 @@ class SphericalGrid:
 
     @cached_property
     def _spec(self) -> SimpleNamespace:
-        """Dense spectral operator matrices (built lazily, then cached).
+        """Spectral tables and dense operator matrices (built lazily, then cached).
 
-        ``Y`` synthesizes (coefficients to node values), ``A`` analyzes
-        (its exact left inverse on band-limited data), ``DT``/``DP`` hold
-        basis theta/phi derivatives at nodes, and ``H11``/``H12``/``H22``
+        Each basis function, its derivatives and its covariant Hessian frame
+        components are a colatitude part times a longitude part.  The
+        colatitude parts live in ``nlat x C`` ring tables (``C`` the
+        coefficient count): ``P`` holds the basis values, and ``R11``,
+        ``R12``, ``R22`` the ring parts of the Hessian frame components,
+        where ``R12`` pairs with the partner order ``-m``.  The longitude
+        parts are the signed-order factors of :func:`_trig_table`.
+
+        Each dense node matrix is one broadcast product of a ring table and
+        the trig table: ``Y`` synthesizes (coefficients to node values), ``A``
+        analyzes (its exact left inverse on band-limited data), ``DT``/``DP``
+        hold basis theta/phi derivatives at nodes, and ``H11``/``H12``/``H22``
         the covariant Hessian frame components of every basis function.
+        ``trig_products`` (the products of every pair of trig columns) and
+        ``ring_weights`` (the quadrature weight of one node of each ring)
+        serve the Jacobian assembly, which reads only the small tables.
         """
-        Y, DT = _basis_matrices(self.L, self.theta, self.phi)
-        ls, ms = _degree_order_arrays(self.L)
-        A = Y.T * self.weights[None, :]
+        L = self.L
+        ls, ms = _degree_order_arrays(L)
+        theta_part, dtheta_part = _theta_basis(L, np.cos(self.theta))
+        P = theta_part[:, ls, np.abs(ms)]
+        dP = dtheta_part[:, ls, np.abs(ms)]
+        lap_eig = -(ls * (ls + 1)).astype(float)
+        m2 = (ms ** 2).astype(float)
 
         # The phi-derivative swaps each cos/sin pair and scales by the order:
         # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi).
-        partner = np.array([lm_index(l, -m) for l, m in zip(ls, ms)])
         dphi_scale = np.where(ms > 0, -ms, np.abs(ms)).astype(float)
-        DP = Y[:, partner] * dphi_scale[None, :]
-        DTP = DT[:, partner] * dphi_scale[None, :]
-        DPP = -Y * (ms.astype(float) ** 2)[None, :]
-
-        st = np.sin(self.theta_nodes)[:, None]
-        ct = np.cos(self.theta_nodes)[:, None]
-        cot = ct / st
-        lap_eig = -(ls * (ls + 1)).astype(float)
 
         # Second theta-derivative through the associated Legendre equation,
         # then the Christoffel corrections of the round metric give the
         # covariant Hessian in the orthonormal frame.
-        DTT = -cot * DT - Y * (ls * (ls + 1)).astype(float)[None, :] + (Y * (ms.astype(float) ** 2)[None, :]) / st**2
-        H11 = DTT
-        H12 = (DTP - cot * DP) / st
-        H22 = DPP / st**2 + cot * DT
+        st = np.sin(self.theta)[:, None]
+        cot = np.cos(self.theta)[:, None] / st
+        R11 = -cot * dP + lap_eig * P + m2 * P / st**2
+        R12 = (dP - cot * P) / st * dphi_scale
+        R22 = -m2 * P / st**2 + cot * dP
 
-        for arr in (Y, A, DT, DP, H11, H12, H22):
+        trig = _trig_table(L, self.phi)
+        trig_products = (trig[:, :, None] * trig[:, None, :]).reshape(self.nlon, -1)
+
+        def on_nodes(table: np.ndarray, orders: np.ndarray) -> np.ndarray:
+            return (table[:, None, :] * trig[None, :, orders + L]).reshape(self.n_nodes, -1)
+
+        Y = on_nodes(P, ms)
+        A = Y.T * self.weights[None, :]
+        DT = on_nodes(dP, ms)
+        DP = on_nodes(P * dphi_scale, -ms)
+        H11 = on_nodes(R11, ms)
+        H12 = on_nodes(R12, -ms)
+        H22 = on_nodes(R22, ms)
+        ring_weights = self.weights[::self.nlon]
+
+        for arr in (Y, A, DT, DP, H11, H12, H22, P, R11, R12, R22,
+                    trig_products, ring_weights):
             arr.setflags(write=False)
         return SimpleNamespace(Y=Y, A=A, DT=DT, DP=DP, H11=H11, H12=H12, H22=H22,
+                               P=P, R11=R11, R12=R12, R22=R22,
+                               trig_products=trig_products, ring_weights=ring_weights,
                                ls=ls, ms=ms, lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
@@ -479,23 +497,10 @@ def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarra
         raise InvalidParameter("theta and phi must have matching shapes")
     if np.any((theta <= 0.0) | (theta >= np.pi)):
         raise InvalidParameter("evaluation points must avoid the poles")
-    mu = np.cos(theta)
-    theta_part, _ = _theta_basis(coeffs.L, mu)
-    out = np.zeros_like(theta)
-    for l in range(coeffs.L + 1):
-        for m in range(-l, l + 1):
-            c = coeffs.values[lm_index(l, m)]
-            if c == 0.0:
-                continue
-            am = abs(m)
-            if m > 0:
-                trig = np.sqrt(2.0) * np.cos(m * phi)
-            elif m < 0:
-                trig = np.sqrt(2.0) * np.sin(am * phi)
-            else:
-                trig = 1.0
-            out += c * theta_part[np.arange(len(mu)), l, am] * trig
-    return out
+    theta_part, _ = _theta_basis(coeffs.L, np.cos(theta))
+    ls, ms = _degree_order_arrays(coeffs.L)
+    basis = theta_part[:, ls, np.abs(ms)] * _trig_table(coeffs.L, phi)[:, ms + coeffs.L]
+    return basis @ coeffs.values
 
 
 # ----------------------------------------------------------------------

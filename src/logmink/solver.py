@@ -406,16 +406,67 @@ def check_convexity(field: ScalarField) -> tuple[np.ndarray, bool]:
     return min_eig, ok
 
 
+def _aliasing_floor_note(nodal: float, projected: float, threshold: float,
+                         L: int, remedy: str) -> str:
+    """Message suffix for a residual stuck at the bandwidth's aliasing floor.
+
+    A residual whose projection onto the harmonics of degree <= L (the
+    Galerkin residual) is at or below the threshold while its node values
+    are not cannot be reduced on this grid: what is left is the aliasing of
+    the nonlinear term beyond the bandwidth.  Returns "" when the projection
+    is still above the threshold.
+    """
+    if projected > threshold:
+        return ""
+    return (f": the nodal residual {nodal:.3e} is above the tolerance, but the "
+            f"Galerkin residual (its projection onto degrees <= {L}) reaches "
+            f"{projected:.3e}, so the aliasing floor of bandwidth {L} has been "
+            f"reached; {remedy}")
+
+
 def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
-    """Galerkin matrix of the linearized operator at ``h`` in coefficient space."""
-    s = h.grid._spec
-    values, w11, w12, w22 = h.values, h.w11, h.w12, h.w22
-    diag_y = h.det_w + values * (w11 + w22)
-    j_node = (diag_y[:, None] * s.Y
-              + values[:, None] * (w22[:, None] * s.H11
-                                   - 2.0 * w12[:, None] * s.H12
-                                   + w11[:, None] * s.H22))
-    return s.A @ j_node
+    """Galerkin matrix of the linearized operator at ``h`` in coefficient space.
+
+    Entry ``[a, b]`` is the quadrature projection onto harmonic ``a`` of the
+    linearized operator applied to harmonic ``b``,
+
+        sum_t  A[a, :] @ (c_t * H_t[:, b]),
+
+    with ``H_t`` the basis values and the Hessian frame components ``H11``,
+    ``H12``, ``H22`` and ``c_t`` the node fields ``det W + h (w11 + w22)``,
+    ``h w22``, ``-2 h w12`` and ``h w11``.  Both factors of every term split
+    into a ring part times a longitude part (see ``SphericalGrid._spec``),
+    so the sum over the nodes of a ring only needs the ring sums
+
+        F_t[j, p, q] = sum_k c_t(j, k) T_p(phi_k) T_q(phi_k),
+
+    one product with the trig-product table.  The rows of each signed order
+    ``p`` are then one ``(rows x nlat) @ (nlat x C)`` product, about
+    ``2 nlat C**2`` flops in all instead of the ``2 n C**2`` of the dense
+    product, and no ``n x C`` array is formed.  The sums are the same
+    discrete sums, so the matrix agrees with the dense product to rounding.
+    """
+    grid = h.grid
+    s = grid._spec
+    L = grid.L
+    values = h.values
+    fields = np.stack([h.det_w + values * (h.w11 + h.w22),
+                       values * h.w22,
+                       -2.0 * values * h.w12,
+                       values * h.w11])
+    ring_sums = (fields.reshape(4 * grid.nlat, grid.nlon) @ s.trig_products).reshape(
+        4, grid.nlat, 2 * L + 1, 2 * L + 1)
+    orders = s.ms + L
+    partners = L - s.ms  # H12 pairs with the partner order -m
+    weighted = s.ring_weights[:, None] * s.P
+    out = np.empty((grid.n_coeffs, grid.n_coeffs))
+    for p in range(2 * L + 1):
+        F0, F11, F12, F22 = ring_sums[:, :, p, :]
+        ring_rows = (s.P * F0[:, orders] + s.R11 * F11[:, orders]
+                     + s.R12 * F12[:, partners] + s.R22 * F22[:, orders])
+        rows = orders == p
+        out[rows] = weighted[:, rows].T @ ring_rows
+    return out
 
 
 def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
@@ -478,6 +529,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
 
         step = 1.0
         accepted = False
+        full_step_res = None
         while step >= _MIN_STEP:
             try:
                 cand = SupportFunction(work_grid, h.coeffs + step * delta)
@@ -490,10 +542,20 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
                     h, residual, res_sup = cand, cand_res, cand_sup
                     accepted = True
                     break
+                if step == 1.0:
+                    full_step_res = cand_res
             step *= _BACKTRACK_FACTOR
         if not accepted:
+            # The floor shows in the Galerkin residual of h, or of the full
+            # step when that step lands on the floor but raises the nodal one.
+            projected = float(np.max(np.abs(rhs)))
+            if full_step_res is not None:
+                projected = min(projected, float(np.max(np.abs(
+                    work_grid.analyze_values(full_step_res)))))
             raise ConvergenceFailure(
-                f"backtracking failed below step {_MIN_STEP} at iteration {it}",
+                f"backtracking failed below step {_MIN_STEP} at iteration {it}"
+                + _aliasing_floor_note(res_sup, projected, threshold, work_grid.L,
+                                       "raise --grid-L or loosen --tol"),
                 residual=res_sup, iterations=it,
             )
         rows.append((it, res_sup, float(h.values.min()), float(h.min_eig_w.min()), step))

@@ -283,6 +283,19 @@ def test_missing_obj_exits_1(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+def test_aliasing_floor_exits_1_with_a_hint(tmp_path, capsys):
+    # at L=8 this density's nodal residual stalls near 3e-7, above --tol
+    code = main(["solve", "--grid-L", "8", "--tol", "1e-8",
+                 "--f", "random:2,0.05,2.0", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ConvergenceFailure" in err
+    assert "aliasing floor of bandwidth 8" in err
+    assert "raise --grid-L or loosen --tol" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_origin_outside_body_exits_1(tmp_path, capsys):
     corners = np.array([[sx, sy, sz] for sx in (-1, 1)
                         for sy in (-1, 1) for sz in (-1, 1)], dtype=float)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from logmink.convex import hausdorff_distance
-from logmink.errors import GridMismatch, InvalidParameter, StepFailure
+from logmink.errors import ConvergenceFailure, GridMismatch, InvalidParameter, StepFailure
 from logmink.experiments import gen_density
 from logmink.flow import FlowOptions, FlowResult, flow_step, run_flow
 from logmink.grid import HarmonicCoeffs, build_grid, lm_index
@@ -264,3 +264,17 @@ def test_flow_result_fields(grid):
     assert result.t_end > 0.0
     assert abs(result.c_est - 1.3 ** 3) < 1e-9
     assert np.max(np.abs(result.h.values - 1.0)) < 1e-9
+
+
+def test_final_residual_check_names_the_aliasing_floor(grid):
+    # the stationary profile of this density misses the default check by 5%
+    # (nodal residual 1.053e-7) while its projection onto degrees <= 16 is
+    # 5.3e-9: the gap is aliasing, which only a larger bandwidth removes
+    f = gen_density(0, 0.3, 2.0, grid=grid)
+    with pytest.raises(ConvergenceFailure) as err:
+        run_flow(f, grid=grid)
+    message = str(err.value)
+    assert "aliasing floor of bandwidth 16" in message
+    assert "raise --grid-L" in message
+    assert 1e-7 < err.value.residual < 2e-7
+

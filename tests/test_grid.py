@@ -114,6 +114,38 @@ def test_gradient_is_tangential(grid):
     assert np.max(np.abs(radial)) < 1e-9
 
 
+def test_hessian_and_gradient_match_finite_differences():
+    # central differences of the off-grid evaluation in (theta, phi) against
+    # the frame components: H11 = f_tt, H12 = (f_tp - cot f_p) / sin,
+    # H22 = f_pp / sin^2 + cot f_t, gradient (f_t, f_p / sin)
+    grid = build_grid(12)
+    rng = np.random.default_rng(21)
+    coeffs = HarmonicCoeffs(12, rng.standard_normal(grid.n_coeffs))
+    field = synthesize(coeffs, grid)
+    keep = np.sin(grid.theta_nodes) > 0.2
+    t, p = grid.theta_nodes[keep], grid.phi_nodes[keep]
+    step = 1e-4
+
+    def f(dt, dp):
+        return evaluate_harmonics(coeffs, t + dt * step, p + dp * step)
+
+    f_t = (f(1, 0) - f(-1, 0)) / (2 * step)
+    f_p = (f(0, 1) - f(0, -1)) / (2 * step)
+    f_tt = (f(1, 0) - 2 * f(0, 0) + f(-1, 0)) / step**2
+    f_pp = (f(0, 1) - 2 * f(0, 0) + f(0, -1)) / step**2
+    f_tp = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * step**2)
+    st, cot = np.sin(t), np.cos(t) / np.sin(t)
+
+    H = covariant_hessian(field)[keep]
+    for got, want in [(H[:, 0, 0], f_tt), (H[:, 0, 1], (f_tp - cot * f_p) / st),
+                      (H[:, 1, 1], f_pp / st**2 + cot * f_t)]:
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+    grad = tangential_gradient(field)[keep]
+    for got, want in [(np.einsum("ij,ij->i", grad, grid.e_theta[keep]), f_t),
+                      (np.einsum("ij,ij->i", grad, grid.e_phi[keep]), f_p / st)]:
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
 def test_evaluate_harmonics_off_grid(grid):
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[lm_index(1, 0)] = 1.0

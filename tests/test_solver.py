@@ -6,7 +6,15 @@ from numpy.testing import assert_allclose
 
 from logmink.errors import ConvergenceFailure, ConvexityError, GridMismatch, InvalidParameter
 from logmink.experiments import gen_density
-from logmink.grid import HarmonicCoeffs, ScalarField, build_grid, lm_index, synthesize
+from logmink.grid import (
+    HarmonicCoeffs,
+    ScalarField,
+    SphericalGrid,
+    analyze,
+    build_grid,
+    lm_index,
+    synthesize,
+)
 from logmink.solver import (
     DensityFunction,
     NewtonResult,
@@ -15,6 +23,7 @@ from logmink.solver import (
     check_convexity,
     holder_proxy_seminorm,
     linearized_operator,
+    _aliasing_floor_note,
     _jacobian_matrix,
     ma_residual,
     newton_solve,
@@ -272,6 +281,54 @@ def test_linearized_operator_grid_mismatch(grid):
 
 
 # ---------------------------------------------------------------------------
+# Galerkin Jacobian
+
+
+def dense_jacobian(h):
+    """The Galerkin matrix as the dense product A @ j_node over all nodes."""
+    s = h.grid._spec
+    j_node = ((h.det_w + h.values * (h.w11 + h.w22))[:, None] * s.Y
+              + h.values[:, None] * (h.w22[:, None] * s.H11
+                                     - 2.0 * h.w12[:, None] * s.H12
+                                     + h.w11[:, None] * s.H22))
+    return s.A @ j_node
+
+
+def jacobian_test_body(kind, grid):
+    if kind == "ball":
+        return SupportFunction(grid, translated_ball_coeffs(grid, [0.05, -0.08, 0.1]))
+    f = gen_density(3, 0.3, 2.0, grid=grid)
+    return newton_solve(f, grid=grid, opts=SolveOptions(tolerance=1e-3)).h
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("kind", ["ball", "newton"])
+def test_jacobian_matches_dense_product_and_linearization(L, kind):
+    grid = build_grid(L)
+    h = jacobian_test_body(kind, grid)
+    jac = _jacobian_matrix(h)
+    dense = dense_jacobian(h)
+    assert np.max(np.abs(jac - dense)) <= 1e-13 * np.max(np.abs(dense))
+    rng = np.random.default_rng(L)
+    for _ in range(3):
+        d = rng.standard_normal(grid.n_coeffs)
+        lin = analyze(linearized_operator(h, synthesize(HarmonicCoeffs(L, d), grid)))
+        jd = jac @ d
+        assert np.max(np.abs(jd - lin.values)) <= 1e-12 * np.max(np.abs(jd))
+
+
+def test_jacobian_reads_no_node_by_coefficient_matrix():
+    # the assembly works from the per-ring tables alone; hide every dense
+    # n x C operator of a private grid and the matrix must not change
+    grid = SphericalGrid(8)
+    h = SupportFunction(grid, translated_ball_coeffs(grid, [0.1, 0.0, -0.05]))
+    expected = _jacobian_matrix(h)
+    for name in ("Y", "A", "DT", "DP", "H11", "H12", "H22"):
+        setattr(grid._spec, name, None)
+    assert np.array_equal(_jacobian_matrix(h), expected)
+
+
+# ---------------------------------------------------------------------------
 # Newton solves
 
 
@@ -412,3 +469,30 @@ def test_report_csv_schema(grid):
         assert len(cells) == 5
         for cell in cells[1:]:
             float(cell)
+
+
+# ---------------------------------------------------------------------------
+# the bandwidth's aliasing floor
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_newton_names_the_aliasing_floor(seed):
+    # at L=8 the nodal residual of these solves stalls at 3-9e-7 while its
+    # projection onto the grid's harmonics is at rounding level: only a
+    # larger bandwidth or a looser tolerance helps, and the error says so
+    grid = build_grid(8)
+    f = gen_density(seed, 0.05, 2.0, grid=grid)
+    with pytest.raises(ConvergenceFailure) as err:
+        newton_solve(f, grid=grid, opts=SolveOptions(tolerance=1e-8))
+    message = str(err.value)
+    assert "aliasing floor of bandwidth 8" in message
+    assert "raise --grid-L or loosen --tol" in message
+    assert 1e-8 < err.value.residual < 1e-5
+    assert f"{err.value.residual:.3e}" in message
+
+
+def test_aliasing_floor_note_needs_a_small_galerkin_residual():
+    assert _aliasing_floor_note(5e-7, 2e-8, 1e-8, 8, "remedy") == ""
+    note = _aliasing_floor_note(5e-7, 1e-8, 1e-8, 8, "remedy")
+    assert "5.000e-07" in note and "1.000e-08" in note and note.endswith("remedy")
+
