@@ -19,13 +19,11 @@ rule exact through ``2L+1``), making analysis an exact left inverse of
 synthesis on band-limited data.  Poles are never nodes.
 
 Every real basis function is a colatitude part times a longitude part, and
-so is each of its derivatives in the node frame.  The operators are
-therefore built from ``nlat x C`` ring tables (``C = (L+1)**2``) and one
-``nlon x (2L+1)`` table of signed-order longitude factors: each dense
-``n x C`` node matrix is a single broadcast product of the two, which keeps
-the build at O(L**4) time and memory with no per-(l, m) loop.  The dense
-matrices serve the transforms; the Newton Jacobian is assembled from the
-ring tables alone in O(L**5) (see ``solver._jacobian_matrix``).
+so is each of its derivatives in the node frame.  The grid therefore holds
+``nlat x C`` ring tables (``C = (L+1)**2``) and one ``nlon x (2L+1)`` table
+of signed-order longitude factors, and no ``n x C`` matrix.  A transform is
+one product with each, grouped by signed order: O(L**3) per call.  The
+Newton Jacobian is assembled from the same tables in O(L**5).
 
 Conventions
 -----------
@@ -228,24 +226,19 @@ class SphericalGrid:
 
     @cached_property
     def _spec(self) -> SimpleNamespace:
-        """Spectral tables and dense operator matrices (built lazily, then cached).
+        """Ring tables of the spectral operators (built lazily, then cached).
 
-        Each basis function, its derivatives and its covariant Hessian frame
-        components are a colatitude part times a longitude part.  The
-        colatitude parts live in ``nlat x C`` ring tables (``C`` the
-        coefficient count): ``P`` holds the basis values, and ``R11``,
-        ``R12``, ``R22`` the ring parts of the Hessian frame components,
-        where ``R12`` pairs with the partner order ``-m``.  The longitude
-        parts are the signed-order factors of :func:`_trig_table`.
-
-        Each dense node matrix is one broadcast product of a ring table and
-        the trig table: ``Y`` synthesizes (coefficients to node values), ``A``
-        analyzes (its exact left inverse on band-limited data), ``DT``/``DP``
-        hold basis theta/phi derivatives at nodes, and ``H11``/``H12``/``H22``
-        the covariant Hessian frame components of every basis function.
-        ``trig_products`` (the products of every pair of trig columns) and
-        ``ring_weights`` (the quadrature weight of one node of each ring)
-        serve the Jacobian assembly, which reads only the small tables.
+        Each basis function and each of its frame derivatives is a
+        colatitude part times a longitude part.  The colatitude parts are the
+        ``nlat x C`` ring tables (``C`` the coefficient count) ``P`` (values),
+        ``G1``, ``G2`` (gradient) and ``R11``, ``R12``, ``R22`` (Hessian);
+        ``G2`` and ``R12`` pair with the partner order ``-m``, and ``G2``
+        carries the gradient's ``1/sin(theta)``.  The longitude parts are the
+        columns of ``trig`` (see :func:`_trig_table`).  The Jacobian also
+        reads ``trig_products`` (products of every pair of trig columns) and
+        ``ring_weights`` (the quadrature weight of one node per ring).
+        ``by_order`` sorts the coefficients by signed order and
+        ``order_starts`` bounds each order in it.
         """
         L = self.L
         ls, ms = _degree_order_arrays(L)
@@ -264,55 +257,62 @@ class SphericalGrid:
         # covariant Hessian in the orthonormal frame.
         st = np.sin(self.theta)[:, None]
         cot = np.cos(self.theta)[:, None] / st
+        G2 = P * dphi_scale / st
         R11 = -cot * dP + lap_eig * P + m2 * P / st**2
         R12 = (dP - cot * P) / st * dphi_scale
         R22 = -m2 * P / st**2 + cot * dP
 
         trig = _trig_table(L, self.phi)
         trig_products = (trig[:, :, None] * trig[:, None, :]).reshape(self.nlon, -1)
-
-        def on_nodes(table: np.ndarray, orders: np.ndarray) -> np.ndarray:
-            return (table[:, None, :] * trig[None, :, orders + L]).reshape(self.n_nodes, -1)
-
-        Y = on_nodes(P, ms)
-        A = Y.T * self.weights[None, :]
-        DT = on_nodes(dP, ms)
-        DP = on_nodes(P * dphi_scale, -ms)
-        H11 = on_nodes(R11, ms)
-        H12 = on_nodes(R12, -ms)
-        H22 = on_nodes(R22, ms)
         ring_weights = self.weights[::self.nlon]
+        by_order = np.argsort(ms, kind="stable")
+        order_starts = np.searchsorted(ms[by_order], np.arange(-L, L + 1))
 
-        for arr in (Y, A, DT, DP, H11, H12, H22, P, R11, R12, R22,
-                    trig_products, ring_weights):
+        for arr in (P, dP, G2, R11, R12, R22, trig, trig_products, ring_weights):
             arr.setflags(write=False)
-        return SimpleNamespace(Y=Y, A=A, DT=DT, DP=DP, H11=H11, H12=H12, H22=H22,
-                               P=P, R11=R11, R12=R12, R22=R22,
+        return SimpleNamespace(P=P, G1=dP, G2=G2, R11=R11, R12=R12, R22=R22, trig=trig,
                                trig_products=trig_products, ring_weights=ring_weights,
-                               ls=ls, ms=ms, lap_eig=lap_eig)
+                               by_order=by_order, order_starts=order_starts, ms=ms,
+                               lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
+    # Each runs in two stages of O(L**3): one GEMM of all rings against the
+    # trig table and one contraction with a ring table grouped by signed
+    # order.  They share the private stages, so each call is one traced span.
+
+    def _analysis(self, values: np.ndarray) -> np.ndarray:
+        s = self._spec
+        rings = (s.ring_weights[:, None] * values.reshape(self.nlat, self.nlon)) @ s.trig
+        return np.einsum("jc,jc->c", s.P, rings[:, s.ms + self.L])
+
+    def _synthesis(self, table: np.ndarray, c: np.ndarray, partner: bool = False) -> np.ndarray:
+        """Node values of sum_c table[:, c] c[c] times the trig column of order m_c (or -m_c)."""
+        s = self._spec
+        rings = np.add.reduceat((table * c)[:, s.by_order], s.order_starts, axis=1)
+        trig = s.trig[:, ::-1] if partner else s.trig
+        return (rings @ trig.T).ravel()
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
-        return self._spec.A @ values
+        return self._analysis(values)
 
     def synthesize_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._spec.Y @ coeffs
+        return self._synthesis(self._spec.P, coeffs)
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
         s = self._spec
-        return s.Y @ (s.lap_eig * (s.A @ values))
+        return self._synthesis(s.P, s.lap_eig * self._analysis(values))
 
     def hessian_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = self._spec
-        c = s.A @ values
-        return s.H11 @ c, s.H12 @ c, s.H22 @ c
+        c = self._analysis(values)
+        return (self._synthesis(s.R11, c), self._synthesis(s.R12, c, partner=True),
+                self._synthesis(s.R22, c))
 
     def gradient_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tangential gradient frame components (along e_theta, e_phi)."""
         s = self._spec
-        c = s.A @ values
-        return s.DT @ c, (s.DP @ c) / np.sin(self.theta_nodes)
+        c = self._analysis(values)
+        return self._synthesis(s.G1, c), self._synthesis(s.G2, c, partner=True)
 
     def __repr__(self) -> str:
         return f"SphericalGrid(L={self.L}, nodes={self.n_nodes})"

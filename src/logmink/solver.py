@@ -442,9 +442,9 @@ def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
 
     one product with the trig-product table.  The rows of each signed order
     ``p`` are then one ``(rows x nlat) @ (nlat x C)`` product, about
-    ``2 nlat C**2`` flops in all instead of the ``2 n C**2`` of the dense
-    product, and no ``n x C`` array is formed.  The sums are the same
-    discrete sums, so the matrix agrees with the dense product to rounding.
+    ``2 nlat C**2`` flops in all against ``2 n C**2`` for a product over the
+    nodes.  The sums are the same discrete sums, so the matrix agrees with
+    such a dense product to rounding.
     """
     grid = h.grid
     s = grid._spec
@@ -518,7 +518,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
         if res_sup <= threshold:
             break
         matrix = _jacobian_matrix(h)
-        rhs = -(work_grid._spec.A @ residual)
+        rhs = -work_grid.analyze_values(residual)
         try:
             delta = np.linalg.solve(matrix, rhs)
         except np.linalg.LinAlgError as exc:

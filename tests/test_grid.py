@@ -56,12 +56,37 @@ def test_harmonics_orthonormal(grid):
             assert abs(integrate(ScalarField(grid, prod)) - want) < 1e-12
 
 
-def test_analyze_synthesize_roundtrip(grid):
+@pytest.mark.parametrize("L", [16, 48])
+def test_analyze_synthesize_roundtrip(L):
+    grid = build_grid(L)
     rng = np.random.default_rng(5)
-    coeffs = HarmonicCoeffs(16, rng.standard_normal(grid.n_coeffs))
+    coeffs = HarmonicCoeffs(L, rng.standard_normal(grid.n_coeffs))
     field = synthesize(coeffs, grid)
     back = analyze(field)
     assert_allclose(back.values, coeffs.values, atol=1e-12)
+
+
+def rotated_about_e3(coeffs, L, alpha):
+    """Coefficients of f(theta, phi - alpha) given those of f(theta, phi)."""
+    out = np.array(coeffs, dtype=float)
+    for l in range(1, L + 1):
+        for m in range(1, l + 1):
+            a, b = coeffs[lm_index(l, m)], coeffs[lm_index(l, -m)]
+            out[lm_index(l, m)] = a * np.cos(m * alpha) - b * np.sin(m * alpha)
+            out[lm_index(l, -m)] = a * np.sin(m * alpha) + b * np.cos(m * alpha)
+    return out
+
+
+def test_rotation_about_e3_rolls_each_ring(grid):
+    # turning by one longitude step maps the grid onto itself: synthesis of
+    # the turned (cos, sin) pairs is the node values rolled by +1 per ring
+    rng = np.random.default_rng(9)
+    coeffs = rng.standard_normal(grid.n_coeffs)
+    values = synthesize(HarmonicCoeffs(16, coeffs), grid).values
+    turned = rotated_about_e3(coeffs, 16, 2.0 * np.pi / grid.nlon)
+    got = synthesize(HarmonicCoeffs(16, turned), grid).values
+    want = np.roll(values.reshape(grid.nlat, grid.nlon), 1, axis=1).ravel()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(values))
 
 
 def test_lower_bandwidth_coeffs_embed(grid):
@@ -144,6 +169,17 @@ def test_hessian_and_gradient_match_finite_differences():
     for got, want in [(np.einsum("ij,ij->i", grad, grid.e_theta[keep]), f_t),
                       (np.einsum("ij,ij->i", grad, grid.e_phi[keep]), f_p / st)]:
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+def test_spec_holds_only_ring_tables():
+    # every operator lives in nlat x C ring tables and longitude tables; no
+    # array spans both the node and the coefficient axis, so L = 48 stays small
+    for L in (16, 48):
+        grid = build_grid(L)
+        arrays = [a for a in vars(grid._spec).values() if isinstance(a, np.ndarray)]
+        for a in arrays:
+            assert not (grid.n_nodes in a.shape and grid.n_coeffs in a.shape), a.shape
+        assert sum(a.nbytes for a in arrays) < 32e6
 
 
 def test_evaluate_harmonics_off_grid(grid):
