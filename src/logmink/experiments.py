@@ -280,10 +280,7 @@ def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
     try:
         f = gen_density(seed, spec.eps, spec.lam, grid=grid)
         result = newton_solve(f, opts=solve_opts, grid=grid)
-        # percent-level ratios; the tight default stalls on 578-point
-        # approximations of smooth bodies
-        diag = blowdown_diagnostics(polytope_from_support(result.h),
-                                    ellipsoid_tolerance=1e-4)
+        diag = blowdown_diagnostics(polytope_from_support(result.h))
     except LogminkError as exc:
         rec.update(h_sup=0.0, h_min=0.0, iterations=0, residual_sup=0.0,
                    ratio_32=0.0, ratio_21=0.0, axis_dist_ratio=0.0,

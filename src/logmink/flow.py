@@ -292,7 +292,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                     f"{residual:.3e} > {opts.residual_check:g} * mean f"
                     + _aliasing_floor_note(residual, projected,
                                            opts.residual_check * f.mean(), grid.L,
-                                           "raise --grid-L or loosen residual_check"),
+                                           "raise --grid-L, or loosen the API option "
+                                           "FlowOptions.residual_check"),
                     residual=residual, iterations=steps_accepted,
                 )
             return FlowResult(h=h_final, steps=steps_accepted, t_end=t,

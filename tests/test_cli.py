@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_john_and_diag_on_a_solved_body(tmp_path, capsys):
+    # the default ellipsoid tolerance converges on the solver's own output
+    out = str(tmp_path)
+    assert main(["solve", "--f", "random:3,0.05,2.0", "--write-obj",
+                 "--out", out]) == 0
+    obj = str(tmp_path / "body.obj")
+    assert main(["john", "--obj", obj, "--out", out]) == 0
+    assert main(["diag", "--obj", obj, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "ellipsoid.csv").exists()
+    assert (tmp_path / "diagnostics.csv").exists()
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume=8\n")
@@ -294,6 +308,22 @@ def test_aliasing_floor_exits_1_with_a_hint(tmp_path, capsys):
     assert "raise --grid-L or loosen --tol" in err
     assert "Traceback" not in err
     assert not (tmp_path / "solution.csv").exists()
+
+
+def test_flow_aliasing_floor_hint_names_only_existing_flags(tmp_path, capsys):
+    # at L=16 this density's stationary residual is 1.053e-7 against the
+    # 1e-7 check, which the CLI cannot loosen
+    code = main(["flow", "--f", "random:0,0.3,2.0", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "aliasing floor of bandwidth 16" in err
+    assert "FlowOptions.residual_check" in err
+    with pytest.raises(SystemExit):
+        main(["flow", "--help"])
+    usage = capsys.readouterr().out
+    flags = re.findall(r"--[A-Za-z][A-Za-z-]*", err)
+    assert "--grid-L" in flags
+    assert all(flag in usage for flag in flags)
 
 
 def test_origin_outside_body_exits_1(tmp_path, capsys):
