@@ -233,7 +233,11 @@ def _optional_h0(cfg: dict, grid) -> SupportFunction | None:
     preset, _, arg = descriptor.partition(":")
     if preset != "const" or not arg:
         raise InvalidParameter(f"h0 preset must be const:c, got {descriptor!r}")
-    return SupportFunction.constant(grid, float(arg))
+    try:
+        value = float(arg)
+    except ValueError as exc:
+        raise InvalidParameter(f"h0 preset const:c needs a number c, got {descriptor!r}") from exc
+    return SupportFunction.constant(grid, value)
 
 
 def _load_polytope(cfg: dict):

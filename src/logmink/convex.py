@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
+# scipy (qhull and the LU solve) is imported inside the functions that call it,
+# so that importing the package for the solver alone does not load it.
 
 from .errors import (
     ConvergenceFailure,
@@ -378,6 +379,8 @@ def convex_hull_3d(points) -> Polytope:
     distinct vertex count, so no Python loop runs over the facets except to
     wrap them.  Raises :class:`DimensionDeficient` for coplanar input.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = _as_points(points, minimum=4)
     _require_full_rank(pts)
     try:
@@ -576,6 +579,8 @@ def _interior_point_step(A: np.ndarray, shape: np.ndarray, z: np.ndarray,
     raises ``LinAlgError`` on a non-finite direction or when no halving
     keeps M positive definite.
     """
+    from scipy.linalg import lu_factor, lu_solve
+
     m, n = A.shape
     W = np.linalg.inv(shape)
     WE = W @ _BASIS
@@ -732,6 +737,8 @@ def blowdown_diagnostics(P: Polytope,
     are forwarded to :func:`enclosing_ellipsoid`, whose default converges
     in about twenty steps on many-vertex approximations of smooth bodies.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     E = enclosing_ellipsoid(P, tolerance=ellipsoid_tolerance,
                             max_iterations=max_iterations)
     r1, r2, r3 = (float(r) for r in E.radii)
@@ -774,6 +781,8 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
     rounded parts are faceted.  The result contains P + radius * B and
     tightens as directions are added.
     """
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
     if not (0.0 < radius < np.inf):
         raise InvalidParameter(
             f"offset radius must be positive and finite, got {radius}"

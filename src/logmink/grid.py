@@ -25,6 +25,11 @@ of signed-order longitude factors, and no ``n x C`` matrix.  A transform is
 one product with each, grouped by signed order: O(L**3) per call.  The
 Newton Jacobian is assembled from the same tables in O(L**5).
 
+The colatitude parts are normalized associated Legendre functions built by
+their stable three-term recurrences (see :func:`_theta_basis`), and the
+rings sit at the Gauss-Legendre nodes of ``numpy.polynomial.legendre``;
+the grid needs nothing beyond numpy.
+
 Conventions
 -----------
 * Node ordering is colatitude-major: node ``i = j*nlon + k`` sits at
@@ -45,7 +50,6 @@ from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import gammaln, lpmv, roots_legendre
 
 from .errors import GridMismatch, InvalidParameter
 
@@ -72,7 +76,8 @@ __all__ = [
 
 DEFAULT_BANDWIDTH = 16
 
-# Beyond this the unnormalized associated Legendre values overflow doubles.
+# The basis stays finite at any degree; the cap bounds the dense C x C Newton
+# matrices (C = (L+1)**2), about 143 MB each at L = 64 and 708 MB at L = 96.
 _MAX_BANDWIDTH = 64
 
 
@@ -96,24 +101,26 @@ def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ms
 
 
-def _legendre_norm(l: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Orthonormalization constants sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!).
-
-    Evaluated through log-gamma to stay finite at moderate degrees.
-    """
-    return np.exp(
-        0.5
-        * (
-            np.log(2.0 * l + 1.0)
-            - np.log(4.0 * np.pi)
-            + gammaln(l - m + 1.0)
-            - gammaln(l + m + 1.0)
-        )
-    )
-
-
 def _theta_basis(L: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized associated Legendre values and theta-derivatives.
+
+    The values ``Pbar_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos t)``,
+    Condon-Shortley sign included, come from the stable recurrences of the
+    normalized functions (Driscoll & Healy 1994; Schaeffer 2013), which never
+    form the factorials and so stay inside double range at any degree:
+
+        Pbar_00      = 1 / sqrt(4 pi)
+        Pbar_mm      = -sqrt((2m+1)/(2m)) sin(t) Pbar_{m-1,m-1}
+        Pbar_{m+1,m} = sqrt(2m+3) cos(t) Pbar_mm
+        Pbar_lm      = a_lm (cos(t) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}),
+
+    with ``a_lm = sqrt((4l^2-1)/(l^2-m^2))`` and
+    ``b_lm = sqrt(((l-1)^2-m^2)/(4(l-1)^2-1))``.  The theta-derivative is
+
+        d/dt Pbar_lm = (l cos(t) Pbar_lm
+                        - sqrt((2l+1)(l-m)(l+m)/(2l-1)) Pbar_{l-1,m}) / sin(t),
+
+    valid away from the poles, with ``Pbar_{l-1,m} = 0`` when ``m > l-1``.
 
     Parameters
     ----------
@@ -126,30 +133,27 @@ def _theta_basis(L: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -------
     theta_part, dtheta_part : ndarray
         Shape ``(len(mu), L+1, L+1)`` arrays indexed by ``[ring, l, m]``
-        (entries with m > l are zero) holding ``N_lm P_l^m(mu)`` and its
-        derivative with respect to theta.  The derivative uses
-
-            d/dtheta P_l^m(cos t) = (l cos t P_l^m - (l+m) P_{l-1}^m) / sin t,
-
-        valid away from the poles, with ``P_{l-1}^m = 0`` when ``m > l-1``.
+        (entries with m > l are zero) holding ``Pbar_lm`` and its
+        derivative with respect to theta.
     """
-    nlat = len(mu)
     sin_theta = np.sqrt(1.0 - mu**2)
-    P = np.zeros((nlat, L + 1, L + 1))
-    dP = np.zeros((nlat, L + 1, L + 1))
-    for m in range(L + 1):
-        l_vals = np.arange(m, L + 1)
-        if len(l_vals) == 0:
-            continue
-        Pm = lpmv(m, l_vals[None, :], mu[:, None])
-        Pm_down = np.zeros_like(Pm)
-        down_ok = l_vals - 1 >= m
-        if down_ok.any():
-            Pm_down[:, down_ok] = lpmv(m, (l_vals - 1)[None, down_ok], mu[:, None])
-        norm = _legendre_norm(l_vals.astype(float), float(m))
-        P[:, l_vals, m] = Pm * norm[None, :]
-        dPm = (l_vals[None, :] * mu[:, None] * Pm - (l_vals + m)[None, :] * Pm_down) / sin_theta[:, None]
-        dP[:, l_vals, m] = dPm * norm[None, :]
+    P = np.zeros((len(mu), L + 1, L + 1))
+    P[:, 0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for l in range(1, L + 1):
+        P[:, l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * sin_theta * P[:, l - 1, l - 1]
+        P[:, l, l - 1] = np.sqrt(2 * l + 1) * mu * P[:, l - 1, l - 1]
+        m = np.arange(l - 1)
+        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+        P[:, l, :l - 1] = a * (mu[:, None] * P[:, l - 1, :l - 1] - b * P[:, l - 2, :l - 1])
+
+    l, m = np.ogrid[: L + 1, : L + 1]
+    down = np.zeros((L + 1, L + 1))
+    below = m < l
+    down[below] = np.sqrt(((2 * l + 1) * (l - m) * (l + m) / (2 * l - 1))[below])
+    dP = l * mu[:, None, None] * P
+    dP[:, 1:, :] -= down[1:] * P[:, :-1, :]
+    dP /= sin_theta[:, None, None]
     return P, dP
 
 
@@ -195,7 +199,7 @@ class SphericalGrid:
         self.nlat = self.L + 1
         self.nlon = 2 * (self.L + 1)
 
-        x, w = roots_legendre(self.nlat)
+        x, w = np.polynomial.legendre.leggauss(self.nlat)
         mu = x[::-1].copy()  # descending mu = ascending theta
         w_theta = w[::-1].copy()
         self.theta = np.arccos(mu)
@@ -395,7 +399,9 @@ def build_grid(L: int = DEFAULT_BANDWIDTH) -> SphericalGrid:
     ----------
     L : int
         Bandwidth; at least 4 so the geometric operators have room to act,
-        and at most 64 to keep Legendre recurrences inside double range.
+        and at most 64 to bound the memory of the dense ``C x C`` Newton
+        matrices (``C = (L+1)**2``), about 143 MB each at L = 64 and 708 MB
+        at L = 96.
     """
     if int(L) != L:
         raise InvalidParameter(f"bandwidth must be an integer, got {L!r}")

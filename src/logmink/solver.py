@@ -29,6 +29,7 @@ from .grid import (
     HarmonicCoeffs,
     ScalarField,
     SphericalGrid,
+    _theta_basis,
     build_grid,
     coeff_count,
     lm_index,
@@ -170,8 +171,10 @@ class SupportFunction:
     @classmethod
     def constant(cls, grid: SphericalGrid, value: float) -> "SupportFunction":
         """The sphere of radius ``value`` about the origin."""
-        if value <= 0.0:
-            raise InvalidParameter(f"constant support value must be positive, got {value}")
+        if not (0.0 < value < np.inf):
+            raise InvalidParameter(
+                f"constant support value must be positive and finite, got {value}"
+            )
         c = np.zeros(grid.n_coeffs)
         c[0] = value * np.sqrt(4.0 * np.pi)
         return cls(grid, c)
@@ -287,13 +290,12 @@ def _harmonic_sup(l: int, m: int) -> float:
 
     The longitude factor attains 1, so this is the maximum over colatitude of
     the normalized Legendre part.  Zonal harmonics peak at the poles where
-    ``|P_l| = 1``, giving the normalization constant exactly; for ``m != 0``
-    the pole values vanish and dense interior sampling locates the maximum.
+    ``|P_l| = 1``, giving the normalization constant ``sqrt((2l+1)/(4 pi))``
+    exactly; for ``m != 0`` the pole values vanish and dense interior
+    sampling locates the maximum.
     """
-    from .grid import _legendre_norm, _theta_basis
-
     if m == 0:
-        return float(_legendre_norm(np.array(float(l)), np.array(0.0)))
+        return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
     theta = np.linspace(0.0, np.pi, 4097)[1:-1]
     theta_part, _ = _theta_basis(l, np.cos(theta))
     return float(np.sqrt(2.0) * np.max(np.abs(theta_part[:, l, abs(m)])))

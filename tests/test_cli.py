@@ -271,6 +271,20 @@ def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     assert not (tmp_path / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("preset", [
+    "const:abc",                    # not a number
+    "const:nan",                    # not finite
+    "const:inf",                    # not finite
+])
+def test_malformed_h0_preset_exits_2(tmp_path, capsys, preset):
+    code = main(["solve", "--f", "const:1.0", "--h0", preset, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_john_and_diag_on_a_solved_body(tmp_path, capsys):
     # the default ellipsoid tolerance converges on the solver's own output
     out = str(tmp_path)

@@ -1,5 +1,9 @@
 """Polytope, measure, ellipsoid, and outer-approximation tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +11,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
+import logmink
 from logmink import convex
 from logmink.convex import (
     DiscreteMeasure,
@@ -662,3 +667,28 @@ def test_measure_csv_roundtrip():
     assert_allclose(back.vectors, S.vectors, atol=0.0)
     assert_allclose(back.weights, S.weights, atol=0.0)
     assert measure_to_csv(back) == text
+
+
+_LAZY_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+import logmink, logmink.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+cube = logmink.convex_hull_3d([[x, y, z] for x in (-1, 1) for y in (-1, 1)
+                               for z in (-1, 1)])
+assert cube.n_facets == 6 and abs(logmink.volume(cube) - 8.0) < 1e-12
+cloud = np.random.default_rng(0).standard_normal((40, 3))
+E = logmink.enclosing_ellipsoid(cloud)
+assert np.all(np.isfinite(E.radii)) and np.all(E.radii > 0)
+print("ok")
+"""
+
+
+def test_import_leaves_scipy_unloaded_until_first_hull():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logmink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammaln, lpmv, roots_legendre
 
 from logmink.errors import InvalidParameter
 from logmink.grid import (
@@ -20,6 +21,7 @@ from logmink.grid import (
     lm_index,
     synthesize,
     tangential_gradient,
+    _theta_basis,
 )
 
 
@@ -191,6 +193,66 @@ def test_evaluate_harmonics_off_grid(grid):
     norm = np.sqrt(3.0 / (4.0 * np.pi))
     assert_allclose(evaluate_harmonics(hc, theta, phi), norm * np.cos(theta),
                     atol=1e-12)
+
+
+def _lpmv_basis(L, mu):
+    """N_lm P_l^m(mu) and its theta-derivative from scipy's lpmv and gammaln."""
+    sin_theta = np.sqrt(1.0 - mu**2)
+    P = np.zeros((len(mu), L + 1, L + 1))
+    dP = np.zeros_like(P)
+    for m in range(L + 1):
+        l = np.arange(m, L + 1)
+        norm = np.exp(0.5 * (np.log(2.0 * l + 1.0) - np.log(4.0 * np.pi)
+                             + gammaln(l - m + 1.0) - gammaln(l + m + 1.0)))
+        Pm = lpmv(m, l[None, :], mu[:, None])
+        Pm_down = np.where(l - 1 >= m, lpmv(m, np.maximum(l - 1, m), mu[:, None]), 0.0)
+        P[:, l, m] = Pm * norm
+        dP[:, l, m] = (l * mu[:, None] * Pm - (l + m) * Pm_down) / sin_theta[:, None] * norm
+    return P, dP
+
+
+@pytest.mark.parametrize("L", [16, 48, 64])
+def test_theta_basis_matches_lpmv(L):
+    mu = np.cos(build_grid(L).theta)
+    P, dP = _theta_basis(L, mu)
+    P_ref, dP_ref = _lpmv_basis(L, mu)
+    assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
+    assert np.max(np.abs(dP - dP_ref)) <= 1e-12 * np.max(np.abs(dP_ref))
+
+
+def _assert_orthonormal_per_order(P, ring_weights):
+    """2 pi sum_j w_j Pbar_lm Pbar_l'm = delta_ll' for every order m."""
+    L = P.shape[1] - 1
+    for m in range(L + 1):
+        table = P[:, m:, m]
+        gram = table.T @ (ring_weights[:, None] * table)
+        assert np.max(np.abs(gram - np.eye(L + 1 - m))) <= 1e-12, m
+
+
+def test_ring_tables_orthonormal_at_the_cap():
+    grid = build_grid(64)
+    P, _ = _theta_basis(grid.L, np.cos(grid.theta))
+    # one node's weight times the ring's node count is 2 pi w_j
+    _assert_orthonormal_per_order(P, grid.weights[::grid.nlon] * grid.nlon)
+
+
+def test_theta_basis_finite_and_orthonormal_beyond_the_cap():
+    L = 96
+    x, w = np.polynomial.legendre.leggauss(L + 1)
+    P, dP = _theta_basis(L, x)
+    assert np.all(np.isfinite(P)) and np.all(np.isfinite(dP))
+    _assert_orthonormal_per_order(P, 2.0 * np.pi * w)
+
+
+@pytest.mark.parametrize("L", [4, 16, 48, 64])
+def test_gauss_rule_matches_scipy(L):
+    grid = build_grid(L)
+    x, w = roots_legendre(L + 1)
+    # rings run in ascending theta, so descending cos(theta)
+    assert np.max(np.abs(np.cos(grid.theta) - x[::-1])) <= 1e-14
+    ring_w = grid.weights[::grid.nlon] * grid.nlon / (2.0 * np.pi)
+    assert np.max(np.abs(ring_w - w[::-1])) <= 1e-14
+    assert abs(np.sum(grid.weights) - 4.0 * np.pi) <= 1e-12
 
 
 def test_build_grid_validation():

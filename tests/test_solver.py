@@ -140,6 +140,12 @@ def test_scaled_rejects_bad_factors(grid):
         SupportFunction.constant(grid, 10.0).scaled(1e308)
 
 
+def test_constant_rejects_bad_values(grid):
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            SupportFunction.constant(grid, value)
+
+
 def test_from_field_rejects_aliased_values(grid):
     rng = np.random.default_rng(0)
     field = ScalarField(grid, 2.0 + 0.01 * rng.standard_normal(grid.n_nodes))
