@@ -51,7 +51,6 @@ from .convex import (
     BlowdownDiagnostics,
     DiscreteMeasure,
     Ellipsoid,
-    Facet,
     Polytope,
     ball_offset_outer,
     blowdown_diagnostics,
@@ -69,7 +68,7 @@ from .convex import (
     volume,
     volume_from_support,
 )
-from .flow import FlowOptions, FlowResult, flow_step, run_flow
+from .flow import FlowOptions, FlowResult, run_flow
 from .experiments import (
     ExperimentReport,
     ExperimentSpec,

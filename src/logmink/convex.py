@@ -89,41 +89,32 @@ def _orthobasis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-@dataclass(frozen=True)
-class Facet:
-    """One planar facet: outward unit normal, support number, vertex loop.
-
-    ``loop`` indexes into the owning polytope's vertex array, ordered
-    counter-clockwise about ``normal``.  ``area`` and ``centroid`` are the
-    polygon area and area centroid of the facet.
-    """
-
-    normal: np.ndarray
-    offset: float
-    loop: tuple
-    area: float
-    centroid: np.ndarray
-
-    def __post_init__(self):
-        self.normal.setflags(write=False)
-        self.centroid.setflags(write=False)
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 class Polytope:
-    """Convex polytope with merged planar facets.
+    """Convex polytope with merged planar facets, held as parallel arrays.
 
     Build instances with :func:`convex_hull_3d` (or the OBJ reader); the
-    constructor only freezes prepared data.  Vertices are the extreme
-    points, ``centroid`` is their mean and serves as the apex for the
-    facet-cone volume decomposition.
+    constructor only freezes prepared data.  Row g of the read-only facet
+    arrays holds facet g's outward unit normal, support number, polygon
+    area and area centroid; ``loops[g]`` lists its vertex indices.
+    Vertices are the extreme points, ``centroid`` is their mean and serves
+    as the apex for the facet-cone volume decomposition.
     """
 
-    def __init__(self, vertices: np.ndarray, facets: list, centroid: np.ndarray):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.facets = list(facets)
-        self.centroid = np.asarray(centroid, dtype=float)
-        self.vertices.setflags(write=False)
-        self.centroid.setflags(write=False)
+    def __init__(self, vertices, normals, offsets, areas, facet_centroids,
+                 loops, centroid):
+        self.vertices = _frozen(vertices)
+        self._normals = _frozen(normals)
+        self._offsets = _frozen(offsets)
+        self._areas = _frozen(areas)
+        self._facet_centroids = _frozen(facet_centroids)
+        self._loops = tuple(loops)
+        self.centroid = _frozen(centroid)
 
     @property
     def n_vertices(self) -> int:
@@ -131,16 +122,22 @@ class Polytope:
 
     @property
     def n_facets(self) -> int:
-        return len(self.facets)
+        return self._offsets.shape[0]
 
     def facet_normals(self) -> np.ndarray:
-        return np.array([f.normal for f in self.facets])
+        return self._normals
 
     def facet_offsets(self) -> np.ndarray:
-        return np.array([f.offset for f in self.facets])
+        return self._offsets
 
     def facet_areas(self) -> np.ndarray:
-        return np.array([f.area for f in self.facets])
+        return self._areas
+
+    def facet_centroids(self) -> np.ndarray:
+        return self._facet_centroids
+
+    def facet_loops(self) -> tuple:
+        return self._loops
 
     def support(self, directions) -> float | np.ndarray:
         """Support values max_x in P of u . x, for one direction or a stack."""
@@ -152,19 +149,16 @@ class Polytope:
         return out
 
     def contains_origin(self, tol: float = _ORIGIN_TOL) -> bool:
-        return bool(np.min(self.facet_offsets()) >= -tol)
+        return bool(np.min(self._offsets) >= -tol)
 
     def translated(self, shift) -> "Polytope":
         """The translate P + shift; facet geometry moves rigidly."""
         t = np.asarray(shift, dtype=float)
         if t.shape != (3,):
             raise InvalidParameter(f"shift must be a 3-vector, got shape {t.shape}")
-        facets = [
-            Facet(f.normal.copy(), f.offset + float(f.normal @ t), f.loop,
-                  f.area, f.centroid + t)
-            for f in self.facets
-        ]
-        return Polytope(self.vertices + t, facets, self.centroid + t)
+        return Polytope(self.vertices + t, self._normals,
+                        self._offsets + self._normals @ t, self._areas,
+                        self._facet_centroids + t, self._loops, self.centroid + t)
 
     def rotated(self, rotation) -> "Polytope":
         """The image R P for an orthogonal matrix R with det +1."""
@@ -174,11 +168,9 @@ class Polytope:
         if (np.max(np.abs(R @ R.T - np.eye(3))) > 1e-10
                 or np.linalg.det(R) < 0.0):
             raise InvalidParameter("matrix is not a proper rotation")
-        facets = [
-            Facet(R @ f.normal, f.offset, f.loop, f.area, R @ f.centroid)
-            for f in self.facets
-        ]
-        return Polytope(self.vertices @ R.T, facets, R @ self.centroid)
+        return Polytope(self.vertices @ R.T, self._normals @ R.T, self._offsets,
+                        self._areas, self._facet_centroids @ R.T, self._loops,
+                        R @ self.centroid)
 
     def __repr__(self) -> str:
         return (f"Polytope(n_vertices={self.n_vertices}, "
@@ -377,7 +369,8 @@ def convex_hull_3d(points) -> Polytope:
     of its triangles' normals.  Facets are ordered by their smallest qhull
     triangle index.  The facet geometry is computed in batch, one batch per
     distinct vertex count, so no Python loop runs over the facets except to
-    wrap them.  Raises :class:`DimensionDeficient` for coplanar input.
+    list their vertex loops.  Raises :class:`DimensionDeficient` for
+    coplanar input.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -447,11 +440,8 @@ def convex_hull_3d(points) -> Polytope:
         raise InvalidParameter(
             f"internal hull inconsistency: vertex violates a facet by {worst:.3e}"
         )
-    facets = [
-        Facet(facet_normals[g], offset, loops[g], area, centroids[g])
-        for g, (offset, area) in enumerate(zip(offsets.tolist(), areas.tolist()))
-    ]
-    return Polytope(vertices, facets, vertices.mean(axis=0))
+    return Polytope(vertices, facet_normals, offsets, areas, centroids, loops,
+                    vertices.mean(axis=0))
 
 
 def support_field(P: Polytope, grid: SphericalGrid) -> ScalarField:
@@ -701,14 +691,20 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
         u = z / z.sum()
         _, M = _lifted_inverse(lifted, u)
 
-    offset = centered.T @ u
-    center = pts.mean(axis=0) + offset
-    sigma = (centered * u[:, None]).T @ centered - np.outer(offset, offset)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
-    if eigvals[0] <= 1e-14 * max(eigvals[2], 1.0):
+    # sigma is formed in the whitened frame, where the stop rule is exact;
+    # sigma = B B^T with B = chol cholesky(sigma_w), and the SVD of B keeps
+    # an elongated cloud's condition unsquared
+    whitened = lifted[:, :3]
+    offset = whitened.T @ u
+    sigma_w = (whitened * u[:, None]).T @ whitened - np.outer(offset, offset)
+    try:
+        axes, sing, _ = np.linalg.svd(chol @ np.linalg.cholesky(sigma_w))
+    except np.linalg.LinAlgError as exc:
+        raise DimensionDeficient("enclosing ellipsoid degenerates; points are flat") from exc
+    if sing[2] ** 2 <= 1e-14 * max(sing[0] ** 2, 1.0):
         raise DimensionDeficient("enclosing ellipsoid degenerates; points are flat")
-    radii = np.sqrt(3.0 * eigvals)
-    return Ellipsoid(center, radii, eigvecs.T)
+    center = pts.mean(axis=0) + chol @ offset
+    return Ellipsoid(center, np.sqrt(3.0) * sing[::-1], axes[:, ::-1].T)
 
 
 def _point_to_polygon_boundary(point: np.ndarray, polygon: np.ndarray) -> float:
@@ -806,8 +802,8 @@ def polytope_to_obj(P: Polytope) -> str:
     lines = []
     for x, y, z in P.vertices:
         lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for f in P.facets:
-        lines.append("f " + " ".join(str(i + 1) for i in f.loop))
+    for loop in P.facet_loops():
+        lines.append("f " + " ".join(str(i + 1) for i in loop))
     return "\n".join(lines) + "\n"
 
 

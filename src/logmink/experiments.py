@@ -30,7 +30,7 @@ from .errors import (
     LogminkError,
 )
 from .flow import FlowOptions, run_flow
-from .grid import HarmonicCoeffs, SphericalGrid, build_grid, lm_index
+from .grid import HarmonicCoeffs, SphericalGrid, build_grid
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 _KINDS = ("uniqueness", "bound", "diagnostics")
@@ -65,9 +65,13 @@ class ExperimentSpec:
             raise InvalidParameter(f"lam must be finite and > 1, got {self.lam}")
         if not isinstance(self.L, int) or isinstance(self.L, bool):
             raise InvalidParameter(f"bandwidth L must be an integer, got {self.L!r}")
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "inits", tuple(self.inits))
         if not self.inits:
             raise InvalidParameter("inits must name at least one strategy")
+        for strategy in self.inits:
+            _parse_init(strategy)
 
     def sample_seed(self, index: int) -> int:
         return self.seed * 100003 + index
@@ -146,16 +150,15 @@ def gen_density(seed: int, eps: float, lam: float, L: int = 16,
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
     if not (1.0 < lam < np.inf):
         raise InvalidParameter(f"lam must be finite and > 1, got {lam}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     if grid is None:
         grid = build_grid(L)
     if eps == 0.0:
         return DensityFunction.constant(1.0)
 
-    rng = np.random.default_rng(seed)
     shape = np.zeros(grid.n_coeffs)
-    for l in range(1, 5):
-        for m in range(-l, l + 1):
-            shape[lm_index(l, m)] = rng.standard_normal()
+    shape[1:25] = np.random.default_rng(seed).standard_normal(24)  # l = 1..4
     g_vals = grid.synthesize_coeffs(shape)
     sup = float(np.max(np.abs(g_vals)))
     unit = g_vals / sup
@@ -180,11 +183,8 @@ def _perturbed_start(f: DensityFunction, grid: SphericalGrid,
                      seed: int) -> SupportFunction:
     """Random admissible perturbation of the matched round sphere."""
     base = f.mean() ** (1.0 / 3.0)
-    rng = np.random.default_rng(seed)
     bump = np.zeros(grid.n_coeffs)
-    for l in range(1, 5):
-        for m in range(-l, l + 1):
-            bump[lm_index(l, m)] = rng.standard_normal()
+    bump[1:25] = np.random.default_rng(seed).standard_normal(24)  # l = 1..4
     bump *= 0.1 * base / np.linalg.norm(bump)
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[0] = base * np.sqrt(4.0 * np.pi)
@@ -196,20 +196,34 @@ def _perturbed_start(f: DensityFunction, grid: SphericalGrid,
     return SupportFunction(grid, coeffs)
 
 
+def _parse_init(strategy: str) -> tuple[str, float | None]:
+    """Name and ``const:c`` factor of an init strategy, or InvalidParameter."""
+    name, colon, arg = strategy.partition(":")
+    if name == "const" and colon:
+        try:
+            factor = float(arg)
+        except ValueError:
+            factor = float("nan")
+        if not (0.0 < factor < np.inf):
+            raise InvalidParameter(
+                f"constant init factor must be positive and finite: {strategy!r}"
+            )
+        return name, factor
+    if strategy in ("perturb", "flow"):
+        return strategy, None
+    raise InvalidParameter(f"unknown init strategy {strategy!r}")
+
+
 def _start_from(strategy: str, f: DensityFunction, grid: SphericalGrid,
                 seed: int) -> SupportFunction:
-    if strategy.startswith("const:"):
-        factor = float(strategy.split(":", 1)[1])
-        if factor <= 0.0:
-            raise InvalidParameter(f"constant init factor must be positive: {strategy}")
+    name, factor = _parse_init(strategy)
+    if name == "const":
         return SupportFunction.constant(grid, (factor * f.mean()) ** (1.0 / 3.0))
-    if strategy == "perturb":
+    if name == "perturb":
         return _perturbed_start(f, grid, seed + 7919)
-    if strategy == "flow":
-        res = run_flow(f, opts=FlowOptions(stationarity_tol=1e-5,
-                                           residual_check=None), grid=grid)
-        return res.h
-    raise InvalidParameter(f"unknown init strategy {strategy!r}")
+    res = run_flow(f, opts=FlowOptions(stationarity_tol=1e-5,
+                                       residual_check=None), grid=grid)
+    return res.h
 
 
 def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,

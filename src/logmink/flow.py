@@ -11,8 +11,8 @@ spheres and their translates are genuine stationary points.  Stationary
 profiles of the normalized flow solve h det(W) = c f for a constant c,
 and :func:`run_flow` rescales its answer so that c = 1.
 
-:func:`flow_step` and :func:`run_flow` take the same semi-implicit step
-(first-order IMEX, Ascher, Ruuth and Wetton 1995).  The explicit increment
+:func:`run_flow` takes semi-implicit steps (first-order IMEX, Ascher,
+Ruuth and Wetton 1995).  The explicit increment
 
     a = analyze(dt * (lambda h - f/det W))
 
@@ -39,18 +39,18 @@ Stationarity is measured on the undamped projection of a: the damped
 increment shrinks the degree-l residual by 1/(1 + dt kappa l(l+1)) and
 would report stationarity too early.
 
-Both functions halve a step that loses convexity and retry it, at most 40
-times in a row; the growth of dt in :func:`run_flow` is fixed too (by 1.5
-after every 20 consecutively accepted steps).  :func:`run_flow` adds two
-stabilizations on top of the step: the degree-1 (translation)
-component of each step is reflected about its previous value, and the
-iterate is rescaled to keep the volume exactly constant.  Both operations
-fix every stationary point of the step map while damping the neutral and
-weakly unstable directions of the volume-preserving gauge, which otherwise
-let the center of mass drift.  The rescale h -> s h scales W by s and
-det W by s**2, so its certificate is derived from the step's certificate
-by that scaling law (:meth:`SupportFunction.scaled`) instead of being
-recomputed, and each accepted step is certified once.
+A step that loses convexity is halved and retried, at most 40 times in a
+row; dt grows by the fixed factor 1.5 after every 20 consecutively accepted
+steps.  The normalized run adds two stabilizations on top of the step: the
+degree-1 (translation) component of each step is reflected about its
+previous value, and the iterate is rescaled to keep the volume exactly
+constant.  Both operations fix every stationary point of the step map while
+damping the neutral and weakly unstable directions of the
+volume-preserving gauge, which otherwise let the center of mass drift.  The
+rescale h -> s h scales W by s and det W by s**2, so its certificate is
+derived from the step's certificate by that scaling law
+(:meth:`SupportFunction.scaled`) instead of being recomputed, and each
+accepted step is certified once.
 """
 
 from __future__ import annotations
@@ -60,8 +60,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid, build_grid, require_same_grid
-from .solver import DensityFunction, SupportFunction, _aliasing_floor_note, ma_residual
+from .grid import SphericalGrid
+from .solver import (
+    DensityFunction,
+    SupportFunction,
+    _aliasing_floor_note,
+    _initial_iterate,
+    ma_residual,
+)
 
 # Step control: a rejected step is halved at most _MAX_HALVINGS times in a
 # row, and run_flow multiplies dt by _DT_GROWTH after every _GROWTH_EVERY
@@ -146,8 +152,9 @@ class FlowResult:
         return "\n".join(lines) + "\n"
 
 
-def _volume_of(h: SupportFunction) -> float:
-    return float(h.grid.weights @ (h.values * h.det_w)) / 3.0
+def _mass(h: SupportFunction) -> float:
+    """The integral of h det W, three times the volume of the body."""
+    return float(h.grid.weights @ (h.values * h.det_w))
 
 
 def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
@@ -160,77 +167,41 @@ def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
     return a, a / (1.0 - dt * kappa * grid._spec.lap_eig)
 
 
-def flow_step(h: SupportFunction, f: DensityFunction, dt: float,
-              renormalize: bool = True) -> SupportFunction:
-    """One semi-implicit step of the (normalized) flow.
-
-    Projects the explicit increment dt * (lambda(t) * h - f/det(W)) to the
-    grid bandwidth, divides its degree-l coefficients by
-    1 + dt * kappa * l(l+1) with kappa = max f / (det W * min_eig W), adds
-    it to h and certifies convexity.  If the result is inadmissible the
-    step is halved and retried; after 40 halvings a :class:`StepFailure`
-    is raised.  With ``renormalize`` off the lambda
-    term is dropped and the body shrinks.
-    """
-    _require_positive_finite("dt", dt)
-    grid = h.grid
-    fvals = f.values_on(grid)
-    if renormalize:
-        lam = float(grid.weights @ fvals) / (3.0 * _volume_of(h))
-    else:
-        lam = 0.0
-    step = dt
-    for _ in range(_MAX_HALVINGS + 1):
-        _, delta = _increment(h, fvals, lam, step)
-        try:
-            return SupportFunction(grid, h.coeffs + delta)
-        except ConvexityError:
-            step *= 0.5
-    raise StepFailure(
-        f"flow step from dt={dt:g} remained inadmissible after "
-        f"{_MAX_HALVINGS} halvings"
-    )
-
-
 def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
              opts: FlowOptions | None = None, grid: SphericalGrid | None = None,
              snapshot_every: int = 0, snapshot_fn=None) -> FlowResult:
     """Run the normalized flow to stationarity (or to a fixed time).
 
     Starting from ``h0`` (default: the round sphere matching the mean of
-    f), semi-implicit steps (see :func:`flow_step`) are taken with adaptive
-    dt.  In the renormalized mode each accepted step has its translation
-    increment negated and its volume rescaled to the initial volume, which
-    turns the gauge's neutral directions into contracting ones without
-    moving any stationary point.  The run is stationary once the undamped
-    projected speed max |lambda h - f/det W| / max |h| at the start of an
-    accepted step drops below ``opts.stationarity_tol``.  A stationary
-    profile satisfies h det(W) = c_est * f; the result is rescaled by
-    c_est^(-1/3) so it solves the equation with constant 1, and the final
-    sup-norm residual is verified to be at most 1e-7.  Both rescales derive their
-    certificate from the scaling law (W scales by s, det W by s**2)
-    rather than certifying the rescaled coefficients again.
+    f, on ``grid`` or the bandwidth-16 grid), the semi-implicit steps of
+    the module docstring are taken with adaptive dt; after 40 halvings in
+    a row :class:`StepFailure` is raised.  With ``opts.renormalize`` off
+    the lambda term, the reflection and the rescale are dropped and the
+    body shrinks.  The run is stationary once the undamped projected speed
+    max |lambda h - f/det W| / max |h| at the start of an accepted step
+    drops below ``opts.stationarity_tol``.  A stationary profile satisfies
+    h det(W) = c_est * f; the result is rescaled by c_est^(-1/3) so it
+    solves the equation with constant 1, and its sup-norm residual is
+    checked against ``opts.residual_check``.  Besides the volume that the
+    rescale needs, the mass integral of h det W is taken once per accepted
+    step, after the rescale; it gives the step's volume, c_est and the
+    next step's lambda.
 
     ``snapshot_fn(step, t, h)`` is invoked every ``snapshot_every``
-    accepted steps when provided.
+    accepted steps when provided; ``snapshot_every`` must be >= 0, and 0
+    takes no snapshots.
     """
     opts = opts or FlowOptions()
-    if grid is None:
-        grid = h0.grid if h0 is not None else build_grid()
-    if h0 is None:
-        mean = f.mean()
-        if mean <= 0.0:
-            raise InvalidParameter(f"density mean must be positive, got {mean:g}")
-        h0 = SupportFunction.constant(grid, mean ** (1.0 / 3.0))
-    else:
-        require_same_grid(h0.grid, grid, "initial support function and flow grid")
+    if snapshot_every < 0:
+        raise InvalidParameter(f"snapshot_every must be >= 0, got {snapshot_every}")
+    h = _initial_iterate(f, h0, grid)
+    grid = h.grid
 
     fvals = f.values_on(grid)
     f_total = float(grid.weights @ fvals)
     dt_cap = opts.dt_max if opts.dt_max is not None else _DT_MAX
     dt = min(opts.dt_init, dt_cap)
-    h = h0
-    v_target = _volume_of(h0)
+    vol = v_target = _mass(h) / 3.0
     t = 0.0
     rows = []
     accepted_in_a_row = 0
@@ -241,7 +212,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         dt_step = dt
         if opts.t_final is not None:
             dt_step = min(dt_step, opts.t_final - t)
-        lam = f_total / (3.0 * _volume_of(h)) if opts.renormalize else 0.0
+        lam = f_total / (3.0 * vol) if opts.renormalize else 0.0
         a, delta = _increment(h, fvals, lam, dt_step)
         if opts.renormalize:
             # reflect the translation modes about their previous values
@@ -259,7 +230,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             accepted_in_a_row = 0
             continue
         if opts.renormalize:
-            scale = (v_target / _volume_of(cand)) ** (1.0 / 3.0)
+            scale = (v_target / (_mass(cand) / 3.0)) ** (1.0 / 3.0)
             cand = cand.scaled(scale)
 
         rate = float(np.max(np.abs(grid.synthesize_coeffs(a)))) / (
@@ -267,9 +238,10 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         t += dt_step
         steps_accepted += 1
         halvings_left = _MAX_HALVINGS
-        vol = _volume_of(cand)
-        c_here = float(grid.weights @ (cand.values * cand.det_w)) / f_total
-        res = float(np.max(np.abs(cand.values * cand.det_w - c_here * fvals)))
+        mass = _mass(cand)
+        vol = mass / 3.0
+        c_est = mass / f_total
+        res = float(np.max(np.abs(cand.values * cand.det_w - c_est * fvals)))
         rows.append((t, vol, res, float(np.min(cand.values))))
         h = cand
         if snapshot_every > 0 and snapshot_fn is not None and \
@@ -280,7 +252,6 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             return FlowResult(h=h, steps=steps_accepted, t_end=t, c_est=1.0,
                               reason="time", rows=rows)
         if rate <= opts.stationarity_tol:
-            c_est = float(grid.weights @ (h.values * h.det_w)) / f_total
             h_final = h.scaled(c_est ** (-1.0 / 3.0))
             residual_values = ma_residual(h_final, f).values
             residual = float(np.max(np.abs(residual_values)))

@@ -357,8 +357,10 @@ class NewtonResult:
     ``rows`` holds one ``(iter, residual_sup, min_h, min_eig_W, step_size)``
     tuple per iteration (iteration 0 describes the initial iterate with step
     size 0), matching the CSV report schema of :meth:`report_csv`.
-    ``condition_number`` is the 1-norm conditioning of the final linearized
-    system, recorded so ill-conditioning is visible rather than assumed away.
+    ``condition_number`` is the 1-norm conditioning of the last linearized
+    system solved, the Jacobian at the iterate before the final step (not at
+    the returned ``h``; it is at ``h`` only when no step was taken), recorded
+    so ill-conditioning is visible rather than assumed away.
     """
 
     h: SupportFunction
@@ -471,6 +473,23 @@ def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
     return out
 
 
+def _initial_iterate(f: DensityFunction, h0: SupportFunction | None,
+                     grid: SphericalGrid | None) -> SupportFunction:
+    """The start of :func:`newton_solve` and ``run_flow``: ``h0`` (its grid
+    must match an explicit ``grid``), else the round sphere (mean f)^(1/3)
+    on ``grid``, by default the bandwidth-16 grid."""
+    if h0 is not None:
+        if grid is not None:
+            require_same_grid(grid, h0.grid, "explicit grid and initial iterate")
+        return h0
+    mean = f.mean()
+    if not mean > 0.0:
+        raise InvalidParameter(f"density mean must be positive, got {mean:g}")
+    if grid is None:
+        grid = build_grid(DEFAULT_BANDWIDTH)
+    return SupportFunction.constant(grid, mean ** (1.0 / 3.0))
+
+
 def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
                  opts: SolveOptions | None = None,
                  grid: SphericalGrid | None = None) -> NewtonResult:
@@ -498,19 +517,14 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     ConvergenceFailure
         If the iteration cap is hit or backtracking cannot find an
         admissible decreasing step; carries the last residual.
+    InvalidParameter
+        If ``h0`` is omitted and the mean of ``f`` is not positive.
     """
     opts = opts or SolveOptions()
-    if h0 is not None:
-        work_grid = h0.grid
-        if grid is not None:
-            require_same_grid(grid, work_grid, "explicit grid and initial iterate")
-    else:
-        work_grid = grid if grid is not None else build_grid(DEFAULT_BANDWIDTH)
-        h0 = SupportFunction.constant(work_grid, f.mean() ** (1.0 / 3.0))
-
+    h = _initial_iterate(f, h0, grid)
+    work_grid = h.grid
     fv = f.values_on(work_grid)
     threshold = opts.tolerance * f.mean()
-    h = h0
     residual = h.values * h.det_w - fv
     res_sup = float(np.max(np.abs(residual)))
     rows = [(0, res_sup, float(h.values.min()), float(h.min_eig_w.min()), 0.0)]

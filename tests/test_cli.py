@@ -1,5 +1,6 @@
 """Command line interface tests, driving main() in process."""
 
+import argparse
 import glob
 import os
 import re
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink import cli
 from logmink.cli import main, normalize_config, parse_config_text, write_atomic
 from logmink.convex import convex_hull_3d, measure_from_csv, polytope_to_obj
 from logmink.errors import InvalidParameter
@@ -283,6 +285,30 @@ def test_malformed_h0_preset_exits_2(tmp_path, capsys, preset):
     assert "config error" in captured.err
     assert "Traceback" not in captured.err
     assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--kind", "bound", "--seed", "-1"],
+    ["solve", "--f", "random:-1,0.05,2"],
+    ["experiment", "--kind", "uniqueness", "--inits", "const:abc"],
+    ["flow", "--f", "const:1.0", "--snapshot-every", "-2"],
+], ids=["negative-seed", "negative-density-seed", "bad-init", "negative-snapshot"])
+def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert "Traceback" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_keys_match_the_cli_flags():
+    # every flag of every subcommand can be set from a --config file
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for parser in subparsers.choices.values()
+             for action in parser._actions if action.dest != "help"}
+    assert cli._CONFIG_KEYS == dests | {"config"}
 
 
 def test_john_and_diag_on_a_solved_body(tmp_path, capsys):

@@ -99,8 +99,8 @@ def test_hull_merges_coplanar_triangles():
     # qhull triangulates the cube faces; the merged hull must report squares
     P = convex_hull_3d(cube_points(2.5))
     assert P.n_facets == 6
-    for facet in P.facets:
-        assert len(facet.loop) == 4
+    for loop in P.facet_loops():
+        assert len(loop) == 4
 
 
 def _newell(loop_points):
@@ -133,7 +133,7 @@ def test_hull_facets_match_independent_oracles(body, newton_boundaries):
               "cloud": random_cloud(3),
               "newton": newton_boundaries[0]}[body]
     P = convex_hull_3d(points)
-    sizes = [len(f.loop) for f in P.facets]
+    sizes = [len(loop) for loop in P.facet_loops()]
     if body == "cube":
         assert sizes == [4] * 6
     elif body == "cloud":
@@ -142,25 +142,28 @@ def test_hull_facets_match_independent_oracles(body, newton_boundaries):
         assert 3 in sizes and sum(k > 3 for k in sizes) >= 5
     # one facet per merge group, in the order of the groups' first triangles
     groups = _merge_groups(points)
-    assert [frozenset(map(tuple, P.vertices[list(f.loop)])) for f in P.facets] == groups
-    for f in P.facets:
-        rel = P.vertices[list(f.loop)] - P.vertices[list(f.loop)].mean(axis=0)
+    loops = P.facet_loops()
+    assert [frozenset(map(tuple, P.vertices[list(loop)])) for loop in loops] == groups
+    for loop, f_normal, f_offset, f_area, f_centroid in zip(
+            loops, P.facet_normals(), P.facet_offsets(), P.facet_areas(),
+            P.facet_centroids()):
+        rel = P.vertices[list(loop)] - P.vertices[list(loop)].mean(axis=0)
         area_vector = _newell(rel)
         normal = area_vector / np.linalg.norm(area_vector)
-        assert np.max(np.abs(normal - f.normal)) <= 1e-13
+        assert np.max(np.abs(normal - f_normal)) <= 1e-13
         # counter-clockwise about the outward normal, and convex: every
         # turn of the loop is a left turn
         edges = np.roll(rel, -1, axis=0) - rel
-        assert np.all(np.cross(edges, np.roll(edges, -1, axis=0)) @ f.normal > 0.0)
+        assert np.all(np.cross(edges, np.roll(edges, -1, axis=0)) @ f_normal > 0.0)
         # area and centroid of the loop projected onto its mean plane,
         # by the 3D shoelace formula and a fan of triangles
         flat = rel - np.outer(rel @ normal, normal)
-        assert abs(np.linalg.norm(_newell(flat)) - f.area) <= 1e-13
+        assert abs(np.linalg.norm(_newell(flat)) - f_area) <= 1e-13
         fan = np.cross(flat[1:-1] - flat[0], flat[2:] - flat[0]) @ normal
         tri_centroids = (flat[0] + flat[1:-1] + flat[2:]) / 3.0
-        centroid = fan @ tri_centroids / fan.sum() + P.vertices[list(f.loop)].mean(axis=0)
-        assert np.max(np.abs(centroid - f.centroid)) <= 1e-13
-        assert abs(np.max(P.vertices[list(f.loop)] @ f.normal) - f.offset) <= 1e-13
+        centroid = fan @ tri_centroids / fan.sum() + P.vertices[list(loop)].mean(axis=0)
+        assert np.max(np.abs(centroid - f_centroid)) <= 1e-13
+        assert abs(np.max(P.vertices[list(loop)] @ f_normal) - f_offset) <= 1e-13
 
 
 def test_hull_batches_facet_geometry_by_vertex_count(monkeypatch, newton_boundaries):
@@ -175,7 +178,7 @@ def test_hull_batches_facet_geometry_by_vertex_count(monkeypatch, newton_boundar
 
     monkeypatch.setattr(convex, "_orthobasis", counting)
     P = convex_hull_3d(newton_boundaries[0])
-    assert len(calls) == len({len(f.loop) for f in P.facets})
+    assert len(calls) == len({len(loop) for loop in P.facet_loops()})
     assert sum(calls) == P.n_facets
 
 
@@ -198,15 +201,26 @@ def test_hull_rejects_degenerate():
 def test_polytope_transforms():
     P = convex_hull_3d(cube_points())
     assert P.contains_origin()
-    Q = P.translated([5.0, 0.0, 0.0])
+    shift = np.array([5.0, 0.0, 0.0])
+    Q = P.translated(shift)
     assert not Q.contains_origin()
     assert abs(volume(Q) - volume(P)) < 1e-12
+    assert_allclose(Q.facet_offsets(), P.facet_offsets() + P.facet_normals() @ shift,
+                    atol=1e-14)
+    assert_allclose(Q.facet_centroids(), P.facet_centroids() + shift, atol=1e-14)
+    assert Q.facet_loops() == P.facet_loops()
     theta = 0.7
     R = np.array([[np.cos(theta), -np.sin(theta), 0.0],
                   [np.sin(theta), np.cos(theta), 0.0],
                   [0.0, 0.0, 1.0]])
     PR = P.rotated(R)
     assert abs(volume(PR) - volume(P)) < 1e-12
+    assert_allclose(PR.facet_normals(), P.facet_normals() @ R.T, atol=1e-15)
+    assert np.array_equal(PR.facet_areas(), P.facet_areas())
+    # the facet arrays are shared read-only data, not copies to edit
+    for arr in (P.facet_normals(), P.facet_offsets(), P.facet_areas(),
+                P.facet_centroids(), PR.vertices):
+        assert not arr.flags.writeable
     with pytest.raises(InvalidParameter):
         P.rotated(2.0 * R)  # not orthogonal
     with pytest.raises(InvalidParameter):
@@ -548,6 +562,19 @@ def test_ellipsoid_is_translation_and_scale_equivariant():
     moved = enclosing_ellipsoid(1e3 * points + 1e4, tolerance=1e-10)
     assert_allclose(moved.radii, 1e3 * E.radii, rtol=1e-6)
     assert_allclose(moved.center, 1e3 * E.center + 1e4, rtol=1e-9)
+
+
+def test_ellipsoid_keeps_its_promise_on_elongated_clouds():
+    # the stop rule is exact in the whitened frame; a shape factored in the
+    # original frame would lose about eps * cond of containment, and the
+    # covariance conditions below are 1e8 and 1e10
+    tol = 1e-10
+    bound = np.sqrt(1.0 + 4.0 * tol / 3.0)
+    for stretch in ((1e-4, 1e-4, 1.0), (1e-3, 1.0, 1e-5)):
+        for seed in range(50):
+            points = np.random.default_rng(seed).standard_normal((40, 3)) * stretch
+            E = enclosing_ellipsoid(points, tolerance=tol)
+            assert np.max(E.mahalanobis(points)) <= bound
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])

@@ -15,7 +15,7 @@ from logmink.experiments import (
     run_uniqueness,
     solve_with_inits,
 )
-from logmink.grid import build_grid
+from logmink.grid import build_grid, lm_index
 from logmink.solver import ma_residual
 
 
@@ -44,6 +44,19 @@ def test_gen_density_deterministic(grid):
     assert not np.array_equal(a.coeffs.values, c.coeffs.values)
 
 
+def test_gen_density_draws_one_normal_per_low_degree_harmonic(grid):
+    # reference: one scalar draw per (l, m) in order, l = 1..4, m = -l..l;
+    # the vectorised draw must give the same coefficients bit for bit
+    rng = np.random.default_rng(42)
+    shape = np.zeros(grid.n_coeffs)
+    for l in range(1, 5):
+        for m in range(-l, l + 1):
+            shape[lm_index(l, m)] = rng.standard_normal()
+    sup = float(np.max(np.abs(grid.synthesize_coeffs(shape))))
+    f = gen_density(42, eps=0.05, lam=2.0, grid=grid)
+    assert np.array_equal(f.coeffs.values[1:], (0.05 / sup) * shape[1:])
+
+
 def test_gen_density_zero_eps(grid):
     f = gen_density(0, eps=0.0, lam=2.0, grid=grid)
     assert_allclose(f.values_on(grid), 1.0, atol=1e-14)
@@ -62,6 +75,8 @@ def test_gen_density_validation(grid):
         gen_density(0, eps=-0.1, lam=2.0, grid=grid)
     with pytest.raises(InvalidParameter):
         gen_density(0, eps=0.05, lam=1.0, grid=grid)
+    with pytest.raises(InvalidParameter):
+        gen_density(-1, eps=0.05, lam=2.0, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +96,12 @@ def test_spec_validation():
         ExperimentSpec(kind="bound", L="16")
     with pytest.raises(InvalidParameter):
         ExperimentSpec(kind="bound", inits=())
+    with pytest.raises(InvalidParameter):
+        ExperimentSpec(kind="bound", seed=-1)
+    for bad in ("const:abc", "const:0", "const:-2.0", "const:inf", "const:nan",
+                "const", "newton"):
+        with pytest.raises(InvalidParameter):
+            ExperimentSpec(kind="uniqueness", inits=("const:1.0", bad))
 
 
 def test_spec_seeds_and_description():

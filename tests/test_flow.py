@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from logmink.convex import hausdorff_distance
 from logmink.errors import ConvergenceFailure, GridMismatch, InvalidParameter, StepFailure
 from logmink.experiments import gen_density
-from logmink.flow import FlowOptions, FlowResult, flow_step, run_flow
+from logmink.flow import FlowOptions, FlowResult, run_flow
 from logmink.grid import HarmonicCoeffs, build_grid, lm_index
 from logmink.solver import DensityFunction, SupportFunction, ma_residual, newton_solve
 
@@ -31,10 +31,19 @@ def translated_ball(grid, v):
 # single steps
 
 
+def one_step(f, h, dt, renormalize=True):
+    """The first accepted step of run_flow from h, taken with time step dt."""
+    opts = FlowOptions(dt_init=dt, t_final=dt, renormalize=renormalize,
+                       residual_check=None)
+    result = run_flow(f, h0=h, opts=opts)
+    assert result.steps == 1
+    return result.h
+
+
 def test_unit_sphere_is_stationary(grid):
     h = SupportFunction.constant(grid, 1.0)
     f = DensityFunction.constant(1.0)
-    h1 = flow_step(h, f, dt=1e-3)
+    h1 = one_step(f, h, dt=1e-3)
     assert np.max(np.abs(h1.values - 1.0)) < 1e-13
 
 
@@ -43,7 +52,7 @@ def test_translated_ball_is_stationary(grid):
     h = translated_ball(grid, v)
     f = DensityFunction.from_harmonics(
         [(1, 1, v[0]), (1, -1, v[1]), (1, 0, v[2])], base=1.0, grid=grid)
-    h1 = flow_step(h, f, dt=1e-3)
+    h1 = one_step(f, h, dt=1e-3)
     assert np.max(np.abs(h1.values - h.values)) < 1e-9
 
 
@@ -53,26 +62,20 @@ def test_unnormalized_shrink_speed(grid):
     h = SupportFunction.constant(grid, 2.0)
     f = DensityFunction.constant(1.0)
     dt = 1e-3
-    h1 = flow_step(h, f, dt, renormalize=False)
+    h1 = one_step(f, h, dt, renormalize=False)
     rate = (h1.values - h.values) / dt
     assert np.max(np.abs(rate + 0.25)) < 1e-9
 
 
-def test_flow_step_validation(grid):
-    h = SupportFunction.constant(grid, 1.0)
-    f = DensityFunction.constant(1.0)
-    for dt in (0.0, -1e-3, np.nan, np.inf):
-        with pytest.raises(InvalidParameter):
-            flow_step(h, f, dt=dt)
-
-
-def test_flow_step_halving_gives_up(grid):
+def test_run_flow_halving_gives_up(grid):
     # after the 40 allowed halvings a step from dt=1e20 is still about 9e7,
     # far too large to keep h positive
     h = SupportFunction.constant(grid, 1.0)
     f = DensityFunction.from_harmonics([(4, 0, 0.3)], base=1.0, grid=grid)
+    opts = FlowOptions(dt_init=1e20, dt_max=1e20, renormalize=False,
+                       residual_check=None)
     with pytest.raises(StepFailure):
-        flow_step(h, f, dt=1e20, renormalize=False)
+        run_flow(f, h0=h, opts=opts)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +83,9 @@ def test_flow_step_halving_gives_up(grid):
 
 
 def test_flow_options_validation():
-    with pytest.raises(InvalidParameter):
-        FlowOptions(dt_init=0.0)
+    for dt in (0.0, -1e-3):
+        with pytest.raises(InvalidParameter):
+            FlowOptions(dt_init=dt)
     with pytest.raises(InvalidParameter):
         FlowOptions(stationarity_tol=-1.0)
     with pytest.raises(InvalidParameter):
@@ -250,6 +254,9 @@ def test_snapshot_hook(grid):
              snapshot_every=5, snapshot_fn=lambda step, t, h: seen.append(step))
     assert seen
     assert all(step % 5 == 0 for step in seen)
+    with pytest.raises(InvalidParameter):
+        run_flow(f, h0=h0, opts=opts, snapshot_every=-2,
+                 snapshot_fn=lambda step, t, h: None)
 
 
 def test_flow_result_fields(grid):

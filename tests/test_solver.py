@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from logmink.errors import ConvergenceFailure, ConvexityError, GridMismatch, InvalidParameter
 from logmink.experiments import gen_density
+from logmink.flow import run_flow
 from logmink.grid import (
     HarmonicCoeffs,
     ScalarField,
@@ -410,6 +411,19 @@ def test_newton_unreachable_tolerance_fails_loudly(grid):
     with pytest.raises(ConvergenceFailure) as err:
         newton_solve(f, opts=opts)
     assert err.value.residual is not None and err.value.residual > 0.0
+
+
+def test_default_start_needs_a_positive_mean(grid):
+    # the bounds check at the nodes allows 1e-12 of slack, so a density
+    # with mean -1e-13 can be built; both solvers refuse to start from the
+    # round sphere of its mean instead of taking a cube root of it
+    mean = -1e-13
+    f = DensityFunction(HarmonicCoeffs(0, np.array([mean * np.sqrt(4.0 * np.pi)])),
+                        1e-13, 1e-13)
+    assert f.mean() < 0.0
+    for solve in (newton_solve, run_flow):
+        with pytest.raises(InvalidParameter, match="mean must be positive"):
+            solve(f, grid=grid)
 
 
 def test_newton_grid_conflict(grid):
