@@ -67,6 +67,14 @@ def test_unnormalized_shrink_speed(grid):
     assert np.max(np.abs(rate + 0.25)) < 1e-9
 
 
+def test_flow_step_validation(grid):
+    h = SupportFunction.constant(grid, 1.0)
+    f = DensityFunction.constant(1.0)
+    for dt in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            one_step(f, h, dt=dt)
+
+
 def test_run_flow_halving_gives_up(grid):
     # after the 40 allowed halvings a step from dt=1e20 is still about 9e7,
     # far too large to keep h positive
@@ -83,9 +91,8 @@ def test_run_flow_halving_gives_up(grid):
 
 
 def test_flow_options_validation():
-    for dt in (0.0, -1e-3):
-        with pytest.raises(InvalidParameter):
-            FlowOptions(dt_init=dt)
+    with pytest.raises(InvalidParameter):
+        FlowOptions(dt_init=0.0)
     with pytest.raises(InvalidParameter):
         FlowOptions(stationarity_tol=-1.0)
     with pytest.raises(InvalidParameter):
