@@ -304,7 +304,9 @@ class BlowdownDiagnostics:
     plane_dist_ratio is the distance from the origin's projection to the
     boundary of the shadow on the (r2, r3)-plane, over r3.  Large radius
     ratios with small distance ratios flag a body collapsing toward a
-    segment or a plate through the origin.
+    segment or a plate through the origin.  With r2 close to r3 the axes,
+    and so both distance ratios, are fixed only to about rounding/(r3 - r2);
+    their last digits (in ``report.csv`` too) then depend on LAPACK.
     """
 
     ratio_32: float

@@ -164,7 +164,7 @@ def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
     grid = h.grid
     a = grid.analyze_values(dt * (lam * h.values - fvals / h.det_w))
     kappa = float(np.max(fvals / (h.det_w * h.min_eig_w)))
-    return a, a / (1.0 - dt * kappa * grid._spec.lap_eig)
+    return a, grid._damped(a, dt * kappa)
 
 
 def run_flow(f: DensityFunction, h0: SupportFunction | None = None,

@@ -23,7 +23,7 @@ so is each of its derivatives in the node frame.  The grid therefore holds
 ``nlat x C`` ring tables (``C = (L+1)**2``) and one ``nlon x (2L+1)`` table
 of signed-order longitude factors, and no ``n x C`` matrix.  A transform is
 one product with each, grouped by signed order: O(L**3) per call.  The
-Newton Jacobian is assembled from the same tables in O(L**5).
+Newton Jacobian is assembled from them in O(L**5); only this module reads them.
 
 The colatitude parts are normalized associated Legendre functions built by
 their stable three-term recurrences (see :func:`_theta_basis`), and the
@@ -238,11 +238,10 @@ class SphericalGrid:
         ``G1``, ``G2`` (gradient) and ``R11``, ``R12``, ``R22`` (Hessian);
         ``G2`` and ``R12`` pair with the partner order ``-m``, and ``G2``
         carries the gradient's ``1/sin(theta)``.  The longitude parts are the
-        columns of ``trig`` (see :func:`_trig_table`).  The Jacobian also
-        reads ``trig_products`` (products of every pair of trig columns) and
-        ``ring_weights`` (the quadrature weight of one node per ring).
-        ``by_order`` sorts the coefficients by signed order and
-        ``order_starts`` bounds each order in it.
+        columns of ``trig`` (see :func:`_trig_table`).  ``ring_weights`` is
+        one node's quadrature weight per ring, ``lap_eig`` the Laplacian
+        eigenvalue per coefficient; ``by_order`` sorts the coefficients by
+        signed order and ``order_starts`` bounds each order in it.
         """
         L = self.L
         ls, ms = _degree_order_arrays(L)
@@ -267,17 +266,15 @@ class SphericalGrid:
         R22 = -m2 * P / st**2 + cot * dP
 
         trig = _trig_table(L, self.phi)
-        trig_products = (trig[:, :, None] * trig[:, None, :]).reshape(self.nlon, -1)
         ring_weights = self.weights[::self.nlon]
         by_order = np.argsort(ms, kind="stable")
         order_starts = np.searchsorted(ms[by_order], np.arange(-L, L + 1))
 
-        for arr in (P, dP, G2, R11, R12, R22, trig, trig_products, ring_weights):
+        for arr in (P, dP, G2, R11, R12, R22, trig, ring_weights):
             arr.setflags(write=False)
         return SimpleNamespace(P=P, G1=dP, G2=G2, R11=R11, R12=R12, R22=R22, trig=trig,
-                               trig_products=trig_products, ring_weights=ring_weights,
-                               by_order=by_order, order_starts=order_starts, ms=ms,
-                               lap_eig=lap_eig)
+                               ring_weights=ring_weights, by_order=by_order,
+                               order_starts=order_starts, ms=ms, lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
     # Each runs in two stages of O(L**3): one GEMM of all rings against the
@@ -317,6 +314,42 @@ class SphericalGrid:
         s = self._spec
         c = self._analysis(values)
         return self._synthesis(s.G1, c), self._synthesis(s.G2, c, partner=True)
+
+    def _galerkin_matrix(self, c0, c11, c12, c22) -> np.ndarray:
+        """Galerkin matrix of ``phi -> c0 phi + c11 H11 phi + c12 H12 phi + c22 H22 phi``.
+
+        The ``c_t`` are node fields and ``H_t`` the basis values (``t = 0``) or
+        the Hessian frame components.  Entry ``[a, b]`` is the quadrature
+        projection ``sum_t A[a, :] @ (c_t * H_t[:, b])`` onto harmonic ``a`` of
+        the operator applied to harmonic ``b``.  Every factor is a ring part
+        times a longitude part, so each ring needs only the ring sums
+
+            F_t[j, p, q] = sum_k c_t(j, k) T_p(phi_k) T_q(phi_k),
+
+        one product with the trig-column products.  Each signed order ``p``
+        is then one ``(rows x nlat) @ (nlat x C)`` product: ``2 nlat C**2``
+        flops in all against ``2 n C**2`` over the nodes, with the same sums.
+        """
+        s = self._spec
+        L = self.L
+        trig_products = (s.trig[:, :, None] * s.trig[:, None, :]).reshape(self.nlon, -1)
+        fields = np.stack([c0, c11, c12, c22]).reshape(4 * self.nlat, self.nlon)
+        ring_sums = (fields @ trig_products).reshape(4, self.nlat, 2 * L + 1, 2 * L + 1)
+        orders = s.ms + L
+        partners = L - s.ms  # H12 pairs with the partner order -m
+        weighted = s.ring_weights[:, None] * s.P
+        out = np.empty((self.n_coeffs, self.n_coeffs))
+        for p in range(2 * L + 1):
+            F0, F11, F12, F22 = ring_sums[:, :, p, :]
+            ring_rows = (s.P * F0[:, orders] + s.R11 * F11[:, orders]
+                         + s.R12 * F12[:, partners] + s.R22 * F22[:, orders])
+            rows = orders == p
+            out[rows] = weighted[:, rows].T @ ring_rows
+        return out
+
+    def _damped(self, coeffs: np.ndarray, s: float) -> np.ndarray:
+        """Solve ``(1 - s Laplacian) x = coeffs`` in harmonic space."""
+        return coeffs / (1.0 - s * self._spec.lap_eig)
 
     def __repr__(self) -> str:
         return f"SphericalGrid(L={self.L}, nodes={self.n_nodes})"
@@ -379,9 +412,9 @@ class HarmonicCoeffs:
         return float(self.values[lm_index(l, m)])
 
     def embedded(self, L: int) -> "HarmonicCoeffs":
-        """Zero-pad to a larger bandwidth (identity if L matches)."""
+        """Zero-pad to bandwidth ``L >= self.L``; the one check that coefficients fit a grid."""
         if L < self.L:
-            raise InvalidParameter(f"cannot embed bandwidth {self.L} into {L}")
+            raise GridMismatch(f"coefficients of bandwidth {self.L} exceed bandwidth {L}")
         if L == self.L:
             return self
         out = np.zeros(coeff_count(L))
@@ -442,14 +475,9 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphericalGrid) -> ScalarField:
     """Evaluate harmonic coefficients at the grid nodes.
 
     Coefficients of lower bandwidth embed by zero padding; a bandwidth above
-    the grid's cannot be represented and raises :class:`InvalidParameter`.
+    the grid's raises :class:`GridMismatch` (see :meth:`HarmonicCoeffs.embedded`).
     """
-    if coeffs.L > grid.L:
-        raise InvalidParameter(
-            f"coefficients of bandwidth {coeffs.L} exceed grid bandwidth {grid.L}"
-        )
-    c = coeffs.embedded(grid.L)
-    return ScalarField(grid, grid.synthesize_coeffs(c.values))
+    return ScalarField(grid, grid.synthesize_coeffs(coeffs.embedded(grid.L).values))
 
 
 def laplace_beltrami(h: ScalarField) -> ScalarField:
@@ -484,11 +512,9 @@ def tangential_gradient(h: ScalarField) -> np.ndarray:
 
 def harmonic_field(grid: SphericalGrid, l: int, m: int) -> ScalarField:
     """The orthonormal real harmonic (l, m) sampled on the grid."""
-    if l > grid.L:
-        raise InvalidParameter(f"degree {l} exceeds grid bandwidth {grid.L}")
-    c = np.zeros(grid.n_coeffs)
+    c = np.zeros(coeff_count(l))
     c[lm_index(l, m)] = 1.0
-    return ScalarField(grid, grid.synthesize_coeffs(c))
+    return synthesize(HarmonicCoeffs(l, c), grid)
 
 
 def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -504,9 +530,10 @@ def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarra
     if np.any((theta <= 0.0) | (theta >= np.pi)):
         raise InvalidParameter("evaluation points must avoid the poles")
     theta_part, _ = _theta_basis(coeffs.L, np.cos(theta))
-    ls, ms = _degree_order_arrays(coeffs.L)
+    nz = np.flatnonzero(coeffs.values)  # only the basis functions that contribute
+    ls, ms = (a[nz] for a in _degree_order_arrays(coeffs.L))
     basis = theta_part[:, ls, np.abs(ms)] * _trig_table(coeffs.L, phi)[:, ms + coeffs.L]
-    return basis @ coeffs.values
+    return basis @ coeffs.values[nz]
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,9 @@ from .grid import (
     HarmonicCoeffs,
     ScalarField,
     SphericalGrid,
-    _theta_basis,
     build_grid,
     coeff_count,
+    evaluate_harmonics,
     lm_index,
     require_same_grid,
 )
@@ -251,10 +251,6 @@ class DensityFunction:
         Lmax = max(l for l, _, _ in terms)
         if grid is None:
             grid = build_grid(max(4, Lmax))
-        if Lmax > grid.L:
-            raise InvalidParameter(
-                f"harmonic degree {Lmax} exceeds grid bandwidth {grid.L}"
-            )
         c = np.zeros(coeff_count(Lmax))
         for l, m, amp in terms:
             c[lm_index(l, m)] += amp / _harmonic_sup(l, m)
@@ -267,10 +263,6 @@ class DensityFunction:
         return cls(coeffs, lo, hi, grid=grid)
 
     def values_on(self, grid: SphericalGrid) -> np.ndarray:
-        if self.coeffs.L > grid.L:
-            raise InvalidParameter(
-                f"density bandwidth {self.coeffs.L} exceeds grid bandwidth {grid.L}"
-            )
         return grid.synthesize_coeffs(self.coeffs.embedded(grid.L).values)
 
     def field_on(self, grid: SphericalGrid) -> ScalarField:
@@ -291,14 +283,16 @@ def _harmonic_sup(l: int, m: int) -> float:
     The longitude factor attains 1, so this is the maximum over colatitude of
     the normalized Legendre part.  Zonal harmonics peak at the poles where
     ``|P_l| = 1``, giving the normalization constant ``sqrt((2l+1)/(4 pi))``
-    exactly; for ``m != 0`` the pole values vanish and dense interior
-    sampling locates the maximum.
+    exactly; for ``m != 0`` the pole values vanish and dense sampling of
+    the meridian where the longitude factor is 1 locates the maximum.
     """
     if m == 0:
         return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
+    c = np.zeros(coeff_count(l))
+    c[lm_index(l, m)] = 1.0
     theta = np.linspace(0.0, np.pi, 4097)[1:-1]
-    theta_part, _ = _theta_basis(l, np.cos(theta))
-    return float(np.sqrt(2.0) * np.max(np.abs(theta_part[:, l, abs(m)])))
+    phi = np.full_like(theta, 0.0 if m > 0 else np.pi / (2 * abs(m)))
+    return float(np.max(np.abs(evaluate_harmonics(HarmonicCoeffs(l, c), theta, phi))))
 
 
 def holder_proxy_seminorm(field: ScalarField, alpha: float = 0.5) -> float:
@@ -385,18 +379,25 @@ def ma_residual(h: SupportFunction, f: DensityFunction) -> ScalarField:
     return ScalarField(h.grid, h.values * h.det_w - f.values_on(h.grid))
 
 
+def _linearization_fields(h: SupportFunction):
+    """Node fields ``(det W + h (w11 + w22), h w22, -2 h w12, h w11)``: the
+    linearization at ``h`` is ``c0 phi + c11 H11 phi + c12 H12 phi + c22 H22 phi``."""
+    values = h.values
+    return (h.det_w + values * (h.w11 + h.w22), values * h.w22,
+            -2.0 * values * h.w12, values * h.w11)
+
+
 def linearized_operator(h: SupportFunction, phi: ScalarField) -> ScalarField:
     """Derivative of ``h det(W(h))`` at ``h`` applied to a perturbation.
 
-    The derivative is ``det(W) phi + h U : (Hess phi + phi I)`` with ``U`` the
-    cofactor matrix of ``W``.  At the unit sphere it reduces to the Helmholtz
-    operator ``Lap phi + 3 phi``.
+    The derivative is ``det(W) phi + h U : (Hess phi + phi I)``, ``U`` the
+    cofactor matrix of ``W``, expanded in the fields the Newton Jacobian
+    projects.  At the unit sphere it is the Helmholtz operator ``Lap phi + 3 phi``.
     """
     require_same_grid(h.grid, phi.grid, "support function and perturbation")
+    c0, c11, c12, c22 = _linearization_fields(h)
     p11, p12, p22 = h.grid.hessian_components(phi.values)
-    u_term = (h.w22 * (p11 + phi.values) - 2.0 * h.w12 * p12
-              + h.w11 * (p22 + phi.values))
-    return ScalarField(h.grid, h.det_w * phi.values + h.values * u_term)
+    return ScalarField(h.grid, c0 * phi.values + c11 * p11 + c12 * p12 + c22 * p22)
 
 
 def check_convexity(field: ScalarField) -> tuple[np.ndarray, bool]:
@@ -429,48 +430,18 @@ def _aliasing_floor_note(nodal: float, projected: float, threshold: float,
 
 
 def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
-    """Galerkin matrix of the linearized operator at ``h`` in coefficient space.
+    """Galerkin matrix of the linearized operator at ``h`` in coefficient space."""
+    return h.grid._galerkin_matrix(*_linearization_fields(h))
 
-    Entry ``[a, b]`` is the quadrature projection onto harmonic ``a`` of the
-    linearized operator applied to harmonic ``b``,
 
-        sum_t  A[a, :] @ (c_t * H_t[:, b]),
+def _solve_newton_system(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Newton step: solve the Galerkin system ``matrix @ delta = rhs``."""
+    return np.linalg.solve(matrix, rhs)
 
-    with ``H_t`` the basis values and the Hessian frame components ``H11``,
-    ``H12``, ``H22`` and ``c_t`` the node fields ``det W + h (w11 + w22)``,
-    ``h w22``, ``-2 h w12`` and ``h w11``.  Both factors of every term split
-    into a ring part times a longitude part (see ``SphericalGrid._spec``),
-    so the sum over the nodes of a ring only needs the ring sums
 
-        F_t[j, p, q] = sum_k c_t(j, k) T_p(phi_k) T_q(phi_k),
-
-    one product with the trig-product table.  The rows of each signed order
-    ``p`` are then one ``(rows x nlat) @ (nlat x C)`` product, about
-    ``2 nlat C**2`` flops in all against ``2 n C**2`` for a product over the
-    nodes.  The sums are the same discrete sums, so the matrix agrees with
-    such a dense product to rounding.
-    """
-    grid = h.grid
-    s = grid._spec
-    L = grid.L
-    values = h.values
-    fields = np.stack([h.det_w + values * (h.w11 + h.w22),
-                       values * h.w22,
-                       -2.0 * values * h.w12,
-                       values * h.w11])
-    ring_sums = (fields.reshape(4 * grid.nlat, grid.nlon) @ s.trig_products).reshape(
-        4, grid.nlat, 2 * L + 1, 2 * L + 1)
-    orders = s.ms + L
-    partners = L - s.ms  # H12 pairs with the partner order -m
-    weighted = s.ring_weights[:, None] * s.P
-    out = np.empty((grid.n_coeffs, grid.n_coeffs))
-    for p in range(2 * L + 1):
-        F0, F11, F12, F22 = ring_sums[:, :, p, :]
-        ring_rows = (s.P * F0[:, orders] + s.R11 * F11[:, orders]
-                     + s.R12 * F12[:, partners] + s.R22 * F22[:, orders])
-        rows = orders == p
-        out[rows] = weighted[:, rows].T @ ring_rows
-    return out
+def _condition_number(matrix: np.ndarray) -> float:
+    """1-norm condition number of the Galerkin matrix, reported by Newton."""
+    return float(np.linalg.cond(matrix, 1))
 
 
 def _initial_iterate(f: DensityFunction, h0: SupportFunction | None,
@@ -536,7 +507,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
         matrix = _jacobian_matrix(h)
         rhs = -work_grid.analyze_values(residual)
         try:
-            delta = np.linalg.solve(matrix, rhs)
+            delta = _solve_newton_system(matrix, rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"linearized system is singular at iteration {it}: {exc}",
@@ -585,7 +556,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
         )
     if matrix is None:
         matrix = _jacobian_matrix(h)
-    condition = float(np.linalg.cond(matrix, 1))
+    condition = _condition_number(matrix)
     return NewtonResult(
         h=h,
         converged=True,

@@ -1,10 +1,14 @@
 """Spectral grid tests: quadrature, transforms, derivatives, serialization."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln, lpmv, roots_legendre
 
+import logmink
 from logmink.errors import InvalidParameter
 from logmink.grid import (
     HarmonicCoeffs,
@@ -175,13 +179,24 @@ def test_hessian_and_gradient_match_finite_differences():
 
 def test_spec_holds_only_ring_tables():
     # every operator lives in nlat x C ring tables and longitude tables; no
-    # array spans both the node and the coefficient axis, so L = 48 stays small
+    # array spans both the node and the coefficient axis, and none pairs every
+    # two signed orders (the Galerkin assembly forms its trig products itself)
     for L in (16, 48):
         grid = build_grid(L)
         arrays = [a for a in vars(grid._spec).values() if isinstance(a, np.ndarray)]
         for a in arrays:
             assert not (grid.n_nodes in a.shape and grid.n_coeffs in a.shape), a.shape
+            assert (2 * L + 1) ** 2 not in a.shape, a.shape
         assert sum(a.nbytes for a in arrays) < 32e6
+
+
+def test_only_the_grid_module_reads_the_ring_tables():
+    private = re.compile(r"\._spec\b|\b_theta_basis\b|\b_trig_table\b|\b_degree_order_arrays\b")
+    modules = sorted(Path(logmink.__file__).parent.glob("*.py"))
+    assert any(path.name == "grid.py" for path in modules)
+    readers = [path.name for path in modules
+               if path.name != "grid.py" and private.search(path.read_text())]
+    assert readers == []
 
 
 def test_evaluate_harmonics_off_grid(grid):

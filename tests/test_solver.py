@@ -12,6 +12,7 @@ from logmink.grid import (
     ScalarField,
     analyze,
     build_grid,
+    coeff_count,
     harmonic_field,
     lm_index,
     synthesize,
@@ -433,6 +434,20 @@ def test_newton_grid_conflict(grid):
         newton_solve(f, h0=h0, grid=build_grid(8))
     # a grid mismatch is a usage error: the CLI maps it to exit code 2
     assert issubclass(GridMismatch, InvalidParameter)
+
+
+def test_bandwidth_above_the_grid_is_a_grid_mismatch(grid):
+    # HarmonicCoeffs.embedded is the one bandwidth check; every path that
+    # puts coefficients on a grid reports it the same way, naming both
+    small = build_grid(8)
+    coeffs = HarmonicCoeffs(12, np.ones(coeff_count(12)))
+    density = DensityFunction.from_harmonics([(12, 3, 0.1)], grid=grid)
+    for put_on_small in (lambda: synthesize(coeffs, small),
+                         lambda: harmonic_field(small, 12, 3),
+                         lambda: density.values_on(small),
+                         lambda: DensityFunction.from_harmonics([(12, 3, 0.1)], grid=small)):
+        with pytest.raises(GridMismatch, match="bandwidth 12 .*bandwidth 8"):
+            put_on_small()
 
 
 def test_solve_options_validation():
