@@ -93,6 +93,12 @@ def coeff_count(L: int) -> int:
     return (L + 1) ** 2
 
 
+def _require_fits(L: int, target: int) -> None:
+    """The one bandwidth rule; callers check before allocating anything sized by ``L``."""
+    if L > target:
+        raise GridMismatch(f"coefficients of bandwidth {L} exceed bandwidth {target}")
+
+
 def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of degree l and signed order m indexed by flat coefficient."""
     ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
@@ -168,6 +174,18 @@ def _trig_table(L: int, phi: np.ndarray) -> np.ndarray:
     root2 = np.sqrt(2.0)
     return np.hstack([root2 * np.sin(angle[:, ::-1]), np.ones((len(phi), 1)),
                       root2 * np.cos(angle)])
+
+
+def _harmonic_sup(l: int, m: int) -> float:
+    """Sup-norm of the real harmonic (l, m) over the sphere: the maximum of its
+    normalized Legendre part, as the longitude factor attains 1.  Zonal harmonics
+    peak at the poles, at ``sqrt((2l+1)/(4 pi))`` exactly; for ``m != 0`` the pole
+    values vanish and dense interior sampling locates the maximum."""
+    if m == 0:
+        return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
+    theta = np.linspace(0.0, np.pi, 4097)[1:-1]
+    theta_part, _ = _theta_basis(l, np.cos(theta))
+    return float(np.sqrt(2.0) * np.max(np.abs(theta_part[:, l, abs(m)])))
 
 
 class SphericalGrid:
@@ -412,9 +430,8 @@ class HarmonicCoeffs:
         return float(self.values[lm_index(l, m)])
 
     def embedded(self, L: int) -> "HarmonicCoeffs":
-        """Zero-pad to bandwidth ``L >= self.L``; the one check that coefficients fit a grid."""
-        if L < self.L:
-            raise GridMismatch(f"coefficients of bandwidth {self.L} exceed bandwidth {L}")
+        """Zero-pad to bandwidth ``L >= self.L`` (see :func:`_require_fits`)."""
+        _require_fits(self.L, L)
         if L == self.L:
             return self
         out = np.zeros(coeff_count(L))
@@ -512,9 +529,10 @@ def tangential_gradient(h: ScalarField) -> np.ndarray:
 
 def harmonic_field(grid: SphericalGrid, l: int, m: int) -> ScalarField:
     """The orthonormal real harmonic (l, m) sampled on the grid."""
-    c = np.zeros(coeff_count(l))
+    _require_fits(l, grid.L)
+    c = np.zeros(grid.n_coeffs)
     c[lm_index(l, m)] = 1.0
-    return synthesize(HarmonicCoeffs(l, c), grid)
+    return ScalarField(grid, grid.synthesize_coeffs(c))
 
 
 def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -530,10 +548,9 @@ def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarra
     if np.any((theta <= 0.0) | (theta >= np.pi)):
         raise InvalidParameter("evaluation points must avoid the poles")
     theta_part, _ = _theta_basis(coeffs.L, np.cos(theta))
-    nz = np.flatnonzero(coeffs.values)  # only the basis functions that contribute
-    ls, ms = (a[nz] for a in _degree_order_arrays(coeffs.L))
+    ls, ms = _degree_order_arrays(coeffs.L)
     basis = theta_part[:, ls, np.abs(ms)] * _trig_table(coeffs.L, phi)[:, ms + coeffs.L]
-    return basis @ coeffs.values[nz]
+    return basis @ coeffs.values
 
 
 # ----------------------------------------------------------------------

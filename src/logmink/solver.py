@@ -29,9 +29,10 @@ from .grid import (
     HarmonicCoeffs,
     ScalarField,
     SphericalGrid,
+    _harmonic_sup,
+    _require_fits,
     build_grid,
     coeff_count,
-    evaluate_harmonics,
     lm_index,
     require_same_grid,
 )
@@ -251,6 +252,7 @@ class DensityFunction:
         Lmax = max(l for l, _, _ in terms)
         if grid is None:
             grid = build_grid(max(4, Lmax))
+        _require_fits(Lmax, grid.L)
         c = np.zeros(coeff_count(Lmax))
         for l, m, amp in terms:
             c[lm_index(l, m)] += amp / _harmonic_sup(l, m)
@@ -275,24 +277,6 @@ class DensityFunction:
     def __repr__(self) -> str:
         return (f"DensityFunction(L={self.coeffs.L}, bounds=({self.lam_lo:.4g}, "
                 f"{self.lam_hi:.4g}))")
-
-
-def _harmonic_sup(l: int, m: int) -> float:
-    """Sup-norm of the real harmonic (l, m) over the sphere.
-
-    The longitude factor attains 1, so this is the maximum over colatitude of
-    the normalized Legendre part.  Zonal harmonics peak at the poles where
-    ``|P_l| = 1``, giving the normalization constant ``sqrt((2l+1)/(4 pi))``
-    exactly; for ``m != 0`` the pole values vanish and dense sampling of
-    the meridian where the longitude factor is 1 locates the maximum.
-    """
-    if m == 0:
-        return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
-    c = np.zeros(coeff_count(l))
-    c[lm_index(l, m)] = 1.0
-    theta = np.linspace(0.0, np.pi, 4097)[1:-1]
-    phi = np.full_like(theta, 0.0 if m > 0 else np.pi / (2 * abs(m)))
-    return float(np.max(np.abs(evaluate_harmonics(HarmonicCoeffs(l, c), theta, phi))))
 
 
 def holder_proxy_seminorm(field: ScalarField, alpha: float = 0.5) -> float:
@@ -382,9 +366,8 @@ def ma_residual(h: SupportFunction, f: DensityFunction) -> ScalarField:
 def _linearization_fields(h: SupportFunction):
     """Node fields ``(det W + h (w11 + w22), h w22, -2 h w12, h w11)``: the
     linearization at ``h`` is ``c0 phi + c11 H11 phi + c12 H12 phi + c22 H22 phi``."""
-    values = h.values
-    return (h.det_w + values * (h.w11 + h.w22), values * h.w22,
-            -2.0 * values * h.w12, values * h.w11)
+    return (h.det_w + h.values * (h.w11 + h.w22), h.values * h.w22,
+            -2.0 * h.values * h.w12, h.values * h.w11)
 
 
 def linearized_operator(h: SupportFunction, phi: ScalarField) -> ScalarField:

@@ -263,6 +263,7 @@ def test_infinite_tolerance_exits_2(tmp_path, capsys):
     "harmonics:5",                  # not a list at all
     "harmonics:[(1,0)]",            # a term with two entries
     "harmonics:[(1,'a',0.1)]",      # a non-numeric order
+    "harmonics:[(400,1,0.1)]",      # a degree above the grid's bandwidth
 ])
 def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     code = main(["solve", "--f", preset, "--out", str(tmp_path)])

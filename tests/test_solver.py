@@ -448,6 +448,11 @@ def test_bandwidth_above_the_grid_is_a_grid_mismatch(grid):
                          lambda: DensityFunction.from_harmonics([(12, 3, 0.1)], grid=small)):
         with pytest.raises(GridMismatch, match="bandwidth 12 .*bandwidth 8"):
             put_on_small()
+    # the check comes before anything sized by the degree is built
+    for put_on_small in (lambda: harmonic_field(small, 10**6, 3),
+                         lambda: DensityFunction.from_harmonics([(10**6, 3, 0.1)], grid=small)):
+        with pytest.raises(GridMismatch, match="bandwidth 1000000 .*bandwidth 8"):
+            put_on_small()
 
 
 def test_solve_options_validation():
