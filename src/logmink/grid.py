@@ -20,10 +20,12 @@ synthesis on band-limited data.  Poles are never nodes.
 
 Every real basis function is a colatitude part times a longitude part, and
 so is each of its derivatives in the node frame.  The grid therefore holds
-``nlat x C`` ring tables (``C = (L+1)**2``) and one ``nlon x (2L+1)`` table
-of signed-order longitude factors, and no ``n x C`` matrix.  A transform is
-one product with each, grouped by signed order: O(L**3) per call.  The
-Newton Jacobian is assembled from them in O(L**5); only this module reads them.
+order-major ring tables, one ``nlat x (L+1)`` block per signed order (zero
+below degree ``|m|``), and one ``nlon x (2L+1)`` table of signed-order
+longitude factors, and no ``n x C`` matrix (``C = (L+1)**2``).  A transform
+is one batched product over the orders and one GEMM with the longitude
+table: O(L**3) per call.  The Newton Jacobian is assembled from them in
+O(L**5); only this module reads them.
 
 The colatitude parts are normalized associated Legendre functions built by
 their stable three-term recurrences (see :func:`_theta_basis`), and the
@@ -176,6 +178,27 @@ def _trig_table(L: int, phi: np.ndarray) -> np.ndarray:
                       root2 * np.cos(angle)])
 
 
+def _legendre_column(l: int, m: int, mu: np.ndarray) -> np.ndarray:
+    """``Pbar_lm`` at ``mu = cos(theta)`` for one degree and order ``0 <= m <= l``.
+
+    The sectoral recurrence runs up to ``m``, then the degree recurrence at
+    order ``m`` only; each step is written as in :func:`_theta_basis`, so the
+    result equals its column ``[:, l, m]`` bit for bit in O(l) work per point.
+    """
+    sin_theta = np.sqrt(1.0 - mu**2)
+    low = np.full(len(mu), 1.0 / np.sqrt(4.0 * np.pi))
+    for k in range(1, m + 1):
+        low = -np.sqrt((2 * k + 1) / (2 * k)) * sin_theta * low
+    if l == m:
+        return low
+    high = np.sqrt(2 * m + 3) * mu * low
+    for k in range(m + 2, l + 1):
+        a = np.sqrt((4 * k * k - 1) / (k * k - m * m))
+        b = np.sqrt(((k - 1) ** 2 - m * m) / (4 * (k - 1) ** 2 - 1))
+        low, high = high, a * (mu * high - b * low)
+    return high
+
+
 def _harmonic_sup(l: int, m: int) -> float:
     """Sup-norm of the real harmonic (l, m) over the sphere: the maximum of its
     normalized Legendre part, as the longitude factor attains 1.  Zonal harmonics
@@ -184,8 +207,7 @@ def _harmonic_sup(l: int, m: int) -> float:
     if m == 0:
         return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
     theta = np.linspace(0.0, np.pi, 4097)[1:-1]
-    theta_part, _ = _theta_basis(l, np.cos(theta))
-    return float(np.sqrt(2.0) * np.max(np.abs(theta_part[:, l, abs(m)])))
+    return float(np.sqrt(2.0) * np.max(np.abs(_legendre_column(l, abs(m), np.cos(theta)))))
 
 
 class SphericalGrid:
@@ -251,87 +273,120 @@ class SphericalGrid:
         """Ring tables of the spectral operators (built lazily, then cached).
 
         Each basis function and each of its frame derivatives is a
-        colatitude part times a longitude part.  The colatitude parts are the
-        ``nlat x C`` ring tables (``C`` the coefficient count) ``P`` (values),
-        ``G1``, ``G2`` (gradient) and ``R11``, ``R12``, ``R22`` (Hessian);
-        ``G2`` and ``R12`` pair with the partner order ``-m``, and ``G2``
-        carries the gradient's ``1/sin(theta)``.  The longitude parts are the
-        columns of ``trig`` (see :func:`_trig_table`).  ``ring_weights`` is
-        one node's quadrature weight per ring, ``lap_eig`` the Laplacian
-        eigenvalue per coefficient; ``by_order`` sorts the coefficients by
-        signed order and ``order_starts`` bounds each order in it.
+        colatitude part times a longitude part.  The colatitude parts are
+        stored order-major: block ``m + L`` of a table is ``nlat x (L+1)``,
+        indexed ``[ring, l]`` and zero for ``l < |m|``.  ``Pm`` holds the
+        values, ``Gm`` the gradient parts ``G1 | G2`` and ``Hm`` the Hessian
+        parts ``R11 | R12 | R22``, stacked along the ring axis.  ``G2`` and
+        ``R12`` pair with the partner order ``-m``, and ``G2`` carries the
+        gradient's ``1/sin(theta)``.  The longitude parts are the columns of
+        ``trig`` (see :func:`_trig_table`).  ``slots`` places flat
+        coefficient ``(l, m)`` at ``(m + L)(L + 1) + l`` of a padded
+        ``(2L+1) x (L+1)`` array; ``ms`` is its signed order and ``lap_eig``
+        its Laplacian eigenvalue.  ``ring_weights`` is one node's quadrature
+        weight per ring.
         """
         L = self.L
         ls, ms = _degree_order_arrays(L)
         theta_part, dtheta_part = _theta_basis(L, np.cos(self.theta))
-        P = theta_part[:, ls, np.abs(ms)]
-        dP = dtheta_part[:, ls, np.abs(ms)]
-        lap_eig = -(ls * (ls + 1)).astype(float)
-        m2 = (ms ** 2).astype(float)
-
-        # The phi-derivative swaps each cos/sin pair and scales by the order:
-        # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi).
-        dphi_scale = np.where(ms > 0, -ms, np.abs(ms)).astype(float)
+        # Blocks L..2L, orders m = 0..L, come first as [m, ring, l]; there
+        # G2 and R12 carry the phi-derivative's scale |m| of the sin orders.
+        P = theta_part.transpose(2, 0, 1)
+        dP = dtheta_part.transpose(2, 0, 1)
+        degrees = np.arange(L + 1)
+        lap = -(degrees * (degrees + 1)).astype(float)
+        m = degrees.astype(float)[:, None, None]
+        m2 = m ** 2
 
         # Second theta-derivative through the associated Legendre equation,
         # then the Christoffel corrections of the round metric give the
         # covariant Hessian in the orthonormal frame.
         st = np.sin(self.theta)[:, None]
         cot = np.cos(self.theta)[:, None] / st
-        G2 = P * dphi_scale / st
-        R11 = -cot * dP + lap_eig * P + m2 * P / st**2
-        R12 = (dP - cot * P) / st * dphi_scale
-        R22 = -m2 * P / st**2 + cot * dP
+        nlat = self.nlat
+        Pm = np.empty((2 * L + 1, nlat, L + 1))
+        Gm = np.empty((2 * L + 1, 2 * nlat, L + 1))
+        Hm = np.empty((2 * L + 1, 3 * nlat, L + 1))
+        Pm[L:] = P
+        Gm[L:, :nlat] = dP
+        Gm[L:, nlat:] = P * m / st
+        Hm[L:, :nlat] = -cot * dP + lap * P + m2 * P / st**2
+        Hm[L:, nlat:2 * nlat] = (dP - cot * P) / st * m
+        Hm[L:, 2 * nlat:] = -m2 * P / st**2 + cot * dP
 
+        # The phi-derivative swaps each cos/sin pair and scales by the order:
+        # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi).
+        # So order -m copies order m, and G2 and R12 change sign at the cos
+        # orders m > 0.
+        for table in (Pm, Gm, Hm):
+            table[:L] = table[:L:-1]
+        Gm[L + 1:, nlat:] *= -1.0
+        Hm[L + 1:, nlat:2 * nlat] *= -1.0
         trig = _trig_table(L, self.phi)
         ring_weights = self.weights[::self.nlon]
-        by_order = np.argsort(ms, kind="stable")
-        order_starts = np.searchsorted(ms[by_order], np.arange(-L, L + 1))
+        slots = (ms + L) * (L + 1) + ls
+        lap_eig = lap[ls]
 
-        for arr in (P, dP, G2, R11, R12, R22, trig, ring_weights):
+        for arr in (Pm, Gm, Hm, trig, ring_weights, slots, ms, lap_eig):
             arr.setflags(write=False)
-        return SimpleNamespace(P=P, G1=dP, G2=G2, R11=R11, R12=R12, R22=R22, trig=trig,
-                               ring_weights=ring_weights, by_order=by_order,
-                               order_starts=order_starts, ms=ms, lap_eig=lap_eig)
+        return SimpleNamespace(Pm=Pm, Gm=Gm, Hm=Hm, trig=trig, ring_weights=ring_weights,
+                               slots=slots, ms=ms, lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
-    # Each runs in two stages of O(L**3): one GEMM of all rings against the
-    # trig table and one contraction with a ring table grouped by signed
-    # order.  They share the private stages, so each call is one traced span.
+    # Analysis is one GEMM of all rings against the trig table, one batched
+    # product with ``Pm`` over the signed orders and a gather by ``slots``.
+    # Synthesis scatters the coefficients into the padded order-major array,
+    # takes one batched product with a stacked table, reverses the partner
+    # blocks along the order axis and ends in one GEMM with the trig table;
+    # the Hessian's three components share that one pass.  Both are O(L**3)
+    # and private, so each public call is one traced span.
 
     def _analysis(self, values: np.ndarray) -> np.ndarray:
         s = self._spec
         rings = (s.ring_weights[:, None] * values.reshape(self.nlat, self.nlon)) @ s.trig
-        return np.einsum("jc,jc->c", s.P, rings[:, s.ms + self.L])
+        return np.matmul(rings.T[:, None, :], s.Pm).reshape(-1)[s.slots]
 
-    def _synthesis(self, table: np.ndarray, c: np.ndarray, partner: bool = False) -> np.ndarray:
-        """Node values of sum_c table[:, c] c[c] times the trig column of order m_c (or -m_c)."""
+    def _nodes(self, table: np.ndarray, coeffs: np.ndarray, partners: tuple = ()) -> np.ndarray:
+        """Node values of each ``nlat``-ring block of ``table`` applied to ``coeffs``.
+
+        Returns shape ``(blocks, n)``.  The blocks named in ``partners`` pair
+        with the trig column of order ``-m`` rather than ``m``.
+        """
         s = self._spec
-        rings = np.add.reduceat((table * c)[:, s.by_order], s.order_starts, axis=1)
-        trig = s.trig[:, ::-1] if partner else s.trig
-        return (rings @ trig.T).ravel()
+        orders = 2 * self.L + 1
+        padded = np.zeros(orders * (self.L + 1))
+        padded[s.slots] = coeffs
+        rings = np.matmul(table, padded.reshape(orders, self.L + 1, 1))
+        rings = rings.reshape(orders, -1, self.nlat)
+        for b in partners:
+            rings[:, b] = rings[::-1, b].copy()
+        return (rings.reshape(orders, -1).T @ s.trig.T).reshape(-1, self.n_nodes)
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
         return self._analysis(values)
 
     def synthesize_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._synthesis(self._spec.P, coeffs)
+        return self._nodes(self._spec.Pm, coeffs)[0]
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
         s = self._spec
-        return self._synthesis(s.P, s.lap_eig * self._analysis(values))
+        return self._nodes(s.Pm, s.lap_eig * self._analysis(values))[0]
 
     def hessian_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = self._spec
-        c = self._analysis(values)
-        return (self._synthesis(s.R11, c), self._synthesis(s.R12, c, partner=True),
-                self._synthesis(s.R22, c))
+        h11, h12, h22 = self._nodes(self._spec.Hm, self._analysis(values), partners=(1,))
+        return h11, h12, h22
 
     def gradient_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tangential gradient frame components (along e_theta, e_phi)."""
-        s = self._spec
-        c = self._analysis(values)
-        return self._synthesis(s.G1, c), self._synthesis(s.G2, c, partner=True)
+        g1, g2 = self._nodes(self._spec.Gm, self._analysis(values), partners=(1,))
+        return g1, g2
+
+    def _flat(self, table: np.ndarray) -> list[np.ndarray]:
+        """Degree-major ``nlat x C`` copies of the ring blocks of an order-major
+        table: column ``c`` is the ring part of flat coefficient ``c``."""
+        order, degree = np.divmod(self._spec.slots, self.L + 1)
+        blocks = table.reshape(table.shape[0], -1, self.nlat, self.L + 1)
+        return [blocks[order, b, :, degree].T for b in range(blocks.shape[1])]
 
     def _galerkin_matrix(self, c0, c11, c12, c22) -> np.ndarray:
         """Galerkin matrix of ``phi -> c0 phi + c11 H11 phi + c12 H12 phi + c22 H22 phi``.
@@ -350,17 +405,19 @@ class SphericalGrid:
         """
         s = self._spec
         L = self.L
+        (P,) = self._flat(s.Pm)
+        R11, R12, R22 = self._flat(s.Hm)
         trig_products = (s.trig[:, :, None] * s.trig[:, None, :]).reshape(self.nlon, -1)
         fields = np.stack([c0, c11, c12, c22]).reshape(4 * self.nlat, self.nlon)
         ring_sums = (fields @ trig_products).reshape(4, self.nlat, 2 * L + 1, 2 * L + 1)
         orders = s.ms + L
         partners = L - s.ms  # H12 pairs with the partner order -m
-        weighted = s.ring_weights[:, None] * s.P
+        weighted = s.ring_weights[:, None] * P
         out = np.empty((self.n_coeffs, self.n_coeffs))
         for p in range(2 * L + 1):
             F0, F11, F12, F22 = ring_sums[:, :, p, :]
-            ring_rows = (s.P * F0[:, orders] + s.R11 * F11[:, orders]
-                         + s.R12 * F12[:, partners] + s.R22 * F22[:, orders])
+            ring_rows = (P * F0[:, orders] + R11 * F11[:, orders]
+                         + R12 * F12[:, partners] + R22 * F22[:, orders])
             rows = orders == p
             out[rows] = weighted[:, rows].T @ ring_rows
         return out

@@ -25,7 +25,10 @@ from logmink.grid import (
     lm_index,
     synthesize,
     tangential_gradient,
+    _harmonic_sup,
+    _legendre_column,
     _theta_basis,
+    _trig_table,
 )
 
 
@@ -178,16 +181,86 @@ def test_hessian_and_gradient_match_finite_differences():
 
 
 def test_spec_holds_only_ring_tables():
-    # every operator lives in nlat x C ring tables and longitude tables; no
+    # every operator lives in order-major ring tables and longitude tables; no
     # array spans both the node and the coefficient axis, and none pairs every
     # two signed orders (the Galerkin assembly forms its trig products itself)
-    for L in (16, 48):
+    for L in (16, 48, 64):
         grid = build_grid(L)
         arrays = [a for a in vars(grid._spec).values() if isinstance(a, np.ndarray)]
         for a in arrays:
             assert not (grid.n_nodes in a.shape and grid.n_coeffs in a.shape), a.shape
             assert (2 * L + 1) ** 2 not in a.shape, a.shape
-        assert sum(a.nbytes for a in arrays) < 32e6
+        # six (2L+1) x nlat x (L+1) blocks (values, two gradient and three
+        # Hessian parts), the trig table, the ring weights and three
+        # per-coefficient vectors: 26.4 MB at the cap
+        tables = 6 * (2 * L + 1) * grid.nlat * (L + 1)
+        bound = 8 * (tables + grid.nlon * (2 * L + 1) + grid.nlat + 3 * grid.n_coeffs)
+        assert sum(a.nbytes for a in arrays) <= bound < 27e6
+
+
+def _dense_rings(grid):
+    """Per-coefficient basis columns and their derivatives, one ring at a time.
+
+    Column ``(l, m)`` at ring ``j`` is ``Pbar_lm(theta_j) T_m(phi)``; the
+    longitude factor ``T_m`` and its phi-derivatives are written out from cos
+    and sin, and the second theta-derivative comes from the associated
+    Legendre equation.  Yields the ring's node slice and ``(nlon, C)`` blocks
+    of the values, gradient and Hessian frame components and Laplacian.
+    """
+    L = grid.L
+    lm = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+    assert [lm_index(l, m) for l, m in lm] == list(range(grid.n_coeffs))
+    ls, ms = np.array(lm).T
+    P, dP = _theta_basis(L, np.cos(grid.theta))
+    trig = _trig_table(L, grid.phi)[:, ms + L]
+    angle = np.outer(grid.phi, np.abs(ms))
+    root2 = np.sqrt(2.0)
+    trig_phi = np.where(ms > 0, -root2 * ms * np.sin(angle),
+                        np.where(ms < 0, root2 * np.abs(ms) * np.cos(angle), 0.0))
+    trig_phiphi = -(ms**2) * trig
+    for j, theta in enumerate(grid.theta):
+        st, cot = np.sin(theta), np.cos(theta) / np.sin(theta)
+        p, p_t = P[j, ls, np.abs(ms)], dP[j, ls, np.abs(ms)]
+        p_tt = -cot * p_t - (ls * (ls + 1) - ms**2 / st**2) * p
+        f, f_t, f_p = p * trig, p_t * trig, p * trig_phi
+        yield slice(j * grid.nlon, (j + 1) * grid.nlon), {
+            "values": f, "g1": f_t, "g2": f_p / st, "h11": p_tt * trig,
+            "h12": (p_t * trig_phi - cot * f_p) / st,
+            "h22": p * trig_phiphi / st**2 + cot * f_t, "lap": -(ls * (ls + 1)) * f}
+
+
+@pytest.mark.parametrize("L", [16, 48])
+def test_transforms_match_dense_basis_columns(L):
+    # random coefficients at every (l, m) exercise every signed order and its
+    # partner -m.  Synthesis and analysis are checked against the dense sums;
+    # the derivative operators analyze their input first, so their reference
+    # acts on the analyzed coefficients.
+    grid = build_grid(L)
+    coeffs = np.random.default_rng(L).standard_normal(grid.n_coeffs)
+    values = grid.synthesize_coeffs(coeffs)
+    back = grid.analyze_values(values)
+    got = {"values": values, "lap": grid.laplacian_values(values)}
+    got["g1"], got["g2"] = grid.gradient_components(values)
+    got["h11"], got["h12"], got["h22"] = grid.hessian_components(values)
+    want = {name: np.empty(grid.n_nodes) for name in got}
+    projection = np.zeros(grid.n_coeffs)
+    for ring, columns in _dense_rings(grid):
+        want["values"][ring] = columns["values"] @ coeffs
+        for name in ("g1", "g2", "h11", "h12", "h22", "lap"):
+            want[name][ring] = columns[name] @ back
+        projection += columns["values"].T @ (grid.weights[ring] * values[ring])
+    for name, ref in want.items():
+        assert np.max(np.abs(got[name] - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+    assert np.max(np.abs(back - projection)) <= 1e-13 * np.max(np.abs(projection))
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (5, -3), (16, 16), (48, 3), (48, -47)])
+def test_harmonic_sup_builds_one_legendre_column(l, m):
+    # the single-column recurrence repeats _theta_basis's arithmetic exactly
+    mu = np.cos(np.linspace(0.0, np.pi, 4097)[1:-1])
+    column = _theta_basis(l, mu)[0][:, l, abs(m)]
+    assert np.array_equal(_legendre_column(l, abs(m), mu), column)
+    assert _harmonic_sup(l, m) == float(np.sqrt(2.0) * np.max(np.abs(column)))
 
 
 def test_only_the_grid_module_reads_the_ring_tables():
