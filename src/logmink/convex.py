@@ -7,6 +7,10 @@ body (surface-area and cone-volume), volumes, Hausdorff distances between
 support functions, minimum-volume enclosing ellipsoids, and the projection
 diagnostics used to detect degenerating (blowing-down) bodies.
 
+Memory is linear in the data: the hull's vertex-facet consistency check
+and support evaluation take a maximum over blocks of vertices, so a hull
+with V vertices and F facets needs O(V + F) memory, never a V x F matrix.
+
 Conventions
 -----------
 * Facet loops list vertex indices counter-clockwise as seen from outside
@@ -47,6 +51,8 @@ _UNIT_TOL = 1e-10
 _FRACTION_TO_BOUNDARY = 0.99  # interior-point steps stop short of s, z = 0
 _MAX_HALVINGS = 60         # step halvings to keep M positive definite
 _AUGMENT_ABOVE = 1e4       # z_i / s_i beyond which dz_i stays an unknown
+_BLOCK_ENTRIES = 1 << 17   # vertex x direction products per block (1-2 MB)
+_BLOCK_ROWS = 24           # whole OpenBLAS row tiles (of 8 and 12) per block
 
 # upper triangle of the lifted 4 x 4 shape matrix M, v = M[_TRIU], and the
 # symmetric basis with M = sum_k v_k _BASIS[k]; _TRIU_WEIGHT counts each
@@ -87,6 +93,29 @@ def _orthobasis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(normals, t1)
     return t1, t2
+
+
+def _max_dot(vertices: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """max of u . x over the rows x of ``vertices``, per row u of ``directions``.
+
+    Blocks of whole multiples of ``_BLOCK_ROWS`` vertex rows meet all
+    directions at once, at most ``_BLOCK_ENTRIES`` products each (or
+    ``_BLOCK_ROWS`` rows when there are many directions), and the last
+    block also takes the remainder rows, so memory is O(V + D) instead of
+    V x D.  The running maximum is exact, and with one BLAS thread each
+    product is computed as in the dense ``vertices @ directions.T``: every
+    row keeps its place in the GEMM kernel's row tiles, and no block is
+    the single row that numpy would hand to a matrix-vector kernel.
+    """
+    rows = max(_BLOCK_ROWS, _BLOCK_ENTRIES // max(directions.shape[0], 1)
+               // _BLOCK_ROWS * _BLOCK_ROWS)
+    n_blocks = max(1, vertices.shape[0] // rows)
+    out = np.full(directions.shape[0], -np.inf)
+    for b in range(n_blocks):
+        stop = vertices.shape[0] if b == n_blocks - 1 else (b + 1) * rows
+        block = vertices[b * rows:stop] @ directions.T
+        np.maximum(out, block.max(axis=0), out=out)
+    return out
 
 
 def _frozen(values) -> np.ndarray:
@@ -140,10 +169,14 @@ class Polytope:
         return self._loops
 
     def support(self, directions) -> float | np.ndarray:
-        """Support values max_x in P of u . x, for one direction or a stack."""
+        """Support values max_x in P of u . x, for one direction or a stack.
+
+        Memory is O(V + D) for V vertices and D directions: no V x D
+        matrix of products is formed.  With one BLAS thread the values
+        equal the dense ``(vertices @ u.T).max(axis=0)`` bit for bit.
+        """
         u = np.asarray(directions, dtype=float)
-        vals = self.vertices @ np.atleast_2d(u).T
-        out = vals.max(axis=0)
+        out = _max_dot(self.vertices, np.atleast_2d(u))
         if u.ndim == 1:
             return float(out[0])
         return out
@@ -371,8 +404,10 @@ def convex_hull_3d(points) -> Polytope:
     of its triangles' normals.  Facets are ordered by their smallest qhull
     triangle index.  The facet geometry is computed in batch, one batch per
     distinct vertex count, so no Python loop runs over the facets except to
-    list their vertex loops.  Raises :class:`DimensionDeficient` for
-    coplanar input.
+    list their vertex loops.  Every vertex is checked against every
+    merged facet plane in O(V + F) memory, blocks of vertices at a time;
+    a violation beyond 1e-9 raises :class:`InvalidParameter`.  Raises
+    :class:`DimensionDeficient` for coplanar input.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -436,8 +471,9 @@ def convex_hull_3d(points) -> Polytope:
                            relabel[np.take_along_axis(ids, order, axis=1)].tolist()):
             loops[g] = tuple(loop)
 
-    gaps = vertices @ facet_normals.T - offsets
-    worst = float(np.max(gaps))
+    # every vertex against every facet, O(V + F) in memory: subtracting a
+    # per-facet offset commutes with the maximum over vertices
+    worst = float(np.max(_max_dot(vertices, facet_normals) - offsets))
     if worst > _VERTEX_SLACK:
         raise InvalidParameter(
             f"internal hull inconsistency: vertex violates a facet by {worst:.3e}"

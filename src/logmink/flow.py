@@ -95,7 +95,11 @@ class FlowOptions:
     (1 - dt (l(l+1) - 3)) / (1 + dt l(l+1)), inside (-1, 1) for every dt.
     The cap only bounds the explicit lower-order part (the +3 of the
     normalization) and the nonlinearity per step; since dt ramps up from
-    ``dt_init``, a larger cap saves few steps.  On convexity loss the
+    ``dt_init``, a larger cap saves few steps.  The slow 20-step cadence
+    is what keeps elongated starts admissible: from the (1, 1, 3)
+    ellipsoid with f = 1 at L = 16 and 32, growing dt after every
+    accepted step, or every second one, loses convexity for 40 halvings
+    in a row, where the default reaches the sphere.  On convexity loss the
     step is halved and retried, at most 40 times in a row.  A run stops as
     stationary when the undamped projected speed, relative to max |h|,
     drops below ``stationarity_tol`` (the damped increment would shrink the

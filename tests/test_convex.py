@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,41 @@ def test_hull_batches_facet_geometry_by_vertex_count(monkeypatch, newton_boundar
     assert sum(calls) == P.n_facets
 
 
+def stretched_spiral(n):
+    """n golden-spiral points on the ellipsoid with semi-axes (1, 1.3, 0.8)."""
+    return convex._spiral_directions(n) * np.array([1.0, 1.3, 0.8])
+
+
+@pytest.mark.parametrize("block_entries", [convex._BLOCK_ENTRIES, 1 << 12])
+def test_hull_check_catches_a_loose_merge(monkeypatch, block_entries):
+    # merging facets 8 degrees apart leaves vertices outside the merged
+    # planes; every vertex is still checked against every facet when the
+    # check runs over many vertex blocks
+    monkeypatch.setattr(convex, "_MERGE_TOL", 1e-2)
+    monkeypatch.setattr(convex, "_BLOCK_ENTRIES", block_entries)
+    with pytest.raises(InvalidParameter, match="internal hull inconsistency"):
+        convex_hull_3d(stretched_spiral(600))
+
+
+def test_hull_and_support_memory_is_linear():
+    # guard against V x F (hull check) and V x D (support) product
+    # matrices: at 4800 points and directions they take 370 and 180 MB
+    pts = stretched_spiral(4800)
+    convex_hull_3d(pts[:50])  # load qhull outside the measurement
+    tracemalloc.start()
+    try:
+        P = convex_hull_3d(pts)
+        hull_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        P.support(convex._spiral_directions(4800))
+        support_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.n_vertices == 4800
+    assert hull_peak < 64e6
+    assert support_peak < 32e6
+
+
 def test_sphere_cloud_all_extreme():
     rng = np.random.default_rng(11)
     pts = rng.standard_normal((100, 3))
@@ -249,6 +285,43 @@ def test_support_field_matches_pointwise():
     field = support_field(P, grid)
     direct = P.support(grid.nodes)
     assert_allclose(field.values, direct, atol=0.0)
+
+
+# The blocked maximum equals the dense reduction bit for bit when BLAS runs
+# on one thread; a threaded GEMM splits each product among its threads by
+# the product's size, so the comparison runs in a single-threaded child.
+_BLOCKED_MAX_SCRIPT = """
+import numpy as np
+from logmink import convex
+
+rng = np.random.default_rng(5)
+for cap in (convex._BLOCK_ENTRIES, 1 << 10):
+    convex._BLOCK_ENTRIES = cap
+    for n_vertices, n_directions in ((4802, 1), (4802, 3), (4802, 800), (101, 9174)):
+        vertices = rng.standard_normal((n_vertices, 3)) * [1.0, 1.3, 0.8]
+        directions = rng.standard_normal((n_directions, 3))
+        blocked = convex._max_dot(vertices, directions)
+        dense = (vertices @ directions.T).max(axis=0)
+        assert np.array_equal(blocked, dense), (cap, n_vertices, n_directions)
+
+    P = convex.convex_hull_3d(convex._spiral_directions(4802) * [1.0, 1.3, 0.8])
+    u = np.array([0.3, -0.5, 0.8])
+    one = P.support(u)
+    assert type(one) is float and one == (P.vertices @ u[:, None]).max(), cap
+    stack = convex._spiral_directions(800)
+    assert np.array_equal(P.support(stack), (P.vertices @ stack.T).max(axis=0)), cap
+print("ok")
+"""
+
+
+def test_blocked_max_equals_dense_reduction():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logmink.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", _BLOCKED_MAX_SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,17 @@ def test_flow_recovers_translated_ball(grid):
     assert np.max(np.abs(result.h.values - exact)) < 1e-6
 
 
+def test_flow_brings_an_elongated_start_to_rest(grid):
+    # the (1, 1, 3) ellipsoid needs the slow dt ramp: growing dt after every
+    # accepted step (or every second one) loses convexity for 40 halvings
+    stretched = np.sqrt(np.sum((grid.nodes * np.array([1.0, 1.0, 3.0])) ** 2, axis=1))
+    h0 = SupportFunction(grid, grid.analyze_values(stretched))
+    result = run_flow(DensityFunction.constant(1.0), h0=h0, grid=grid)
+    assert result.reason == "stationary"
+    assert result.steps <= 600
+    assert np.max(np.abs(result.h.values - 1.0)) < 1e-7
+
+
 def test_run_flow_certifies_once_per_step(monkeypatch):
     # the volume rescale and the final c_est rescale derive their
     # certificates from the scaling law, so only the Euler candidates and
