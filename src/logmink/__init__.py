@@ -73,10 +73,7 @@ from .experiments import (
     ExperimentReport,
     ExperimentSpec,
     gen_density,
-    run_bound,
-    run_diagnostics,
     run_experiment,
-    run_uniqueness,
     solve_with_inits,
 )
 

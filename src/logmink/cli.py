@@ -43,11 +43,16 @@ from .flow import FlowOptions, run_flow
 from .grid import build_grid, field_to_csv
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
-_CONFIG_KEYS = {
-    "grid_L", "tol", "out", "seed", "config", "f", "h0", "obj", "kind",
-    "count", "eps", "lam", "inits", "dt", "t_final", "renormalize",
-    "snapshot_every", "write_obj", "measure",
+# Every config key and the type its text must parse as (see _get).
+_CONFIG_TYPES = {
+    "grid_L": int, "tol": float, "out": str, "seed": int, "config": str,
+    "f": str, "h0": str, "obj": str, "kind": str, "count": int, "eps": float,
+    "lam": float, "inits": str, "dt": float, "t_final": float,
+    "renormalize": bool, "snapshot_every": int, "write_obj": bool,
+    "measure": str,
 }
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -76,7 +81,7 @@ def parse_config_text(text: str) -> dict:
             raise InvalidParameter(f"config line {lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise InvalidParameter(f"config line {lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -85,7 +90,7 @@ def parse_config_text(text: str) -> dict:
 def normalize_config(cfg: dict) -> str:
     """Canonical text form: sorted key=value lines."""
     for key in cfg:
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise InvalidParameter(f"unknown config key {key!r}")
     return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
 
@@ -203,23 +208,38 @@ def _merge(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, default, cast):
+def _get(cfg: dict, key: str, default=None):
+    """The value of ``key`` as its ``_CONFIG_TYPES`` type, or ``default`` if unset.
+
+    Flags arrive typed; config-file text that does not parse raises
+    :class:`InvalidParameter`.
+    """
     if key not in cfg:
         return default
     value = cfg[key]
-    if isinstance(value, str):
-        if cast is bool:
-            return value.strip().lower() in ("1", "true", "yes", "on")
-        return cast(value)
-    return value
+    if not isinstance(value, str):
+        return value
+    kind = _CONFIG_TYPES[key]
+    try:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise InvalidParameter(
+            f"config key {key} needs a value of type {kind.__name__}, got {value!r}"
+        ) from None
+
+
+def _given(cfg: dict, **params: str) -> dict:
+    """Keyword arguments ``{param: value}`` for the config keys that are set,
+    so that unset options keep the library's defaults."""
+    return {param: _get(cfg, key) for param, key in params.items() if key in cfg}
 
 
 def _out_path(cfg: dict, name: str) -> str:
-    return os.path.join(_get(cfg, "out", ".", str), name)
+    return os.path.join(_get(cfg, "out", "."), name)
 
 
 def _require_density(cfg: dict, grid) -> DensityFunction:
-    descriptor = _get(cfg, "f", None, str)
+    descriptor = _get(cfg, "f")
     if descriptor is None:
         raise InvalidParameter("no density given; pass --f const:c, "
                                "--f harmonics:[...] or --f random:seed,eps,lam")
@@ -227,7 +247,7 @@ def _require_density(cfg: dict, grid) -> DensityFunction:
 
 
 def _optional_h0(cfg: dict, grid) -> SupportFunction | None:
-    descriptor = _get(cfg, "h0", None, str)
+    descriptor = _get(cfg, "h0")
     if descriptor is None:
         return None
     preset, _, arg = descriptor.partition(":")
@@ -241,7 +261,7 @@ def _optional_h0(cfg: dict, grid) -> SupportFunction | None:
 
 
 def _load_polytope(cfg: dict):
-    path = _get(cfg, "obj", None, str)
+    path = _get(cfg, "obj")
     if path is None:
         raise InvalidParameter("no input body; pass --obj FILE")
     with open(path, encoding="utf-8") as handle:
@@ -249,13 +269,13 @@ def _load_polytope(cfg: dict):
 
 
 def cmd_solve(cfg: dict) -> int:
-    grid = build_grid(_get(cfg, "grid_L", 16, int))
+    grid = build_grid(**_given(cfg, L="grid_L"))
     f = _require_density(cfg, grid)
-    opts = SolveOptions(tolerance=_get(cfg, "tol", 1e-10, float))
+    opts = SolveOptions(**_given(cfg, tolerance="tol"))
     result = newton_solve(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid)
     write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
     write_atomic(_out_path(cfg, "report.csv"), result.report_csv())
-    if _get(cfg, "write_obj", False, bool):
+    if _get(cfg, "write_obj", False):
         write_atomic(_out_path(cfg, "body.obj"),
                      polytope_to_obj(polytope_from_support(result.h)))
     print(f"solved in {result.iterations} iterations, "
@@ -264,28 +284,21 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def cmd_flow(cfg: dict) -> int:
-    grid = build_grid(_get(cfg, "grid_L", 16, int))
+    grid = build_grid(**_given(cfg, L="grid_L"))
     f = _require_density(cfg, grid)
-    opts = FlowOptions(
-        dt_init=_get(cfg, "dt", 1e-3, float),
-        stationarity_tol=_get(cfg, "tol", 1e-9, float),
-        renormalize=_get(cfg, "renormalize", True, bool),
-        t_final=_get(cfg, "t_final", None, float),
-    )
-    out_dir = _get(cfg, "out", ".", str)
-    every = _get(cfg, "snapshot_every", 0, int)
+    opts = FlowOptions(**_given(cfg, dt_init="dt", stationarity_tol="tol",
+                                renormalize="renormalize", t_final="t_final"))
 
     def snapshot(step, t, h):
-        body = polytope_from_support(h)
-        write_atomic(os.path.join(out_dir, f"body_{step:06d}.obj"),
-                     polytope_to_obj(body))
+        write_atomic(_out_path(cfg, f"body_{step:06d}.obj"),
+                     polytope_to_obj(polytope_from_support(h)))
 
     result = run_flow(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid,
-                      snapshot_every=every,
-                      snapshot_fn=snapshot if every > 0 else None)
+                      snapshot_fn=snapshot,
+                      **_given(cfg, snapshot_every="snapshot_every"))
     write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
     write_atomic(_out_path(cfg, "trace.csv"), result.trace_csv())
-    if _get(cfg, "write_obj", False, bool):
+    if _get(cfg, "write_obj", False):
         write_atomic(_out_path(cfg, "body.obj"),
                      polytope_to_obj(polytope_from_support(result.h)))
     print(f"flow stopped ({result.reason}) after {result.steps} steps, "
@@ -295,7 +308,7 @@ def cmd_flow(cfg: dict) -> int:
 
 def cmd_measure(cfg: dict) -> int:
     P = _load_polytope(cfg)
-    which = _get(cfg, "measure", "both", str)
+    which = _get(cfg, "measure", "both")
     if which in ("surface", "both"):
         write_atomic(_out_path(cfg, "surface_measure.csv"),
                      measure_to_csv(surface_area_measure(P)))
@@ -332,24 +345,15 @@ def cmd_diag(cfg: dict) -> int:
 
 
 def cmd_experiment(cfg: dict) -> int:
-    kind = _get(cfg, "kind", None, str)
-    if kind is None:
+    if "kind" not in cfg:
         raise InvalidParameter("no suite kind; pass --kind uniqueness|bound|diagnostics")
-    spec_kwargs = dict(
-        kind=kind,
-        count=_get(cfg, "count", 20, int),
-        seed=_get(cfg, "seed", 0, int),
-        eps=_get(cfg, "eps", 0.05, float),
-        lam=_get(cfg, "lam", 2.0, float),
-        L=_get(cfg, "grid_L", 16, int),
-    )
-    inits = _get(cfg, "inits", None, str)
-    if inits is not None:
-        spec_kwargs["inits"] = tuple(s.strip() for s in inits.split(",") if s.strip())
+    spec_kwargs = _given(cfg, kind="kind", count="count", seed="seed", eps="eps",
+                         lam="lam", L="grid_L")
+    if "inits" in cfg:
+        spec_kwargs["inits"] = tuple(s.strip() for s in _get(cfg, "inits").split(",")
+                                     if s.strip())
     spec = ExperimentSpec(**spec_kwargs)
-    tol = _get(cfg, "tol", None, float)
-    solve_opts = SolveOptions(tolerance=tol) if tol is not None else None
-    report = run_experiment(spec, solve_opts)
+    report = run_experiment(spec, SolveOptions(**_given(cfg, tolerance="tol")))
     write_atomic(_out_path(cfg, "report.csv"), report.to_csv())
     print(f"{spec.kind} suite: {report.aggregates}")
     return 0

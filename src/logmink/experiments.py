@@ -1,6 +1,7 @@
 """Reproducible experiment suites over the solver and diagnostics.
 
-Three desk-scale harnesses:
+Three desk-scale harnesses, each run through
+``run_experiment(ExperimentSpec(kind=...))``:
 
 * uniqueness: solve each random density from several independent initial
   guesses (constant rescalings, random admissible perturbations, and a
@@ -33,7 +34,6 @@ from .flow import FlowOptions, run_flow
 from .grid import HarmonicCoeffs, SphericalGrid, build_grid
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
-_KINDS = ("uniqueness", "bound", "diagnostics")
 _DEFAULT_INITS = ("const:0.7", "const:1.0", "const:1.4", "perturb", "flow")
 
 #: documented empirical cap on ellipsoid radius ratios for the lam = 2 suites
@@ -53,9 +53,9 @@ class ExperimentSpec:
     inits: tuple = _DEFAULT_INITS
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _SUITES:
             raise InvalidParameter(
-                f"unknown suite kind {self.kind!r}; expected one of {_KINDS}"
+                f"unknown suite kind {self.kind!r}; expected one of {tuple(_SUITES)}"
             )
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
@@ -232,9 +232,8 @@ def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,
 
     Returns (solutions, failures) where solutions is a list of
     (strategy, NewtonResult) for the runs that converged and failures a
-    list of (strategy, message) for those that did not.  Used by
-    :func:`run_uniqueness` and directly handy for analytic test
-    densities.
+    list of (strategy, message) for those that did not.  Used by the
+    uniqueness suite and directly handy for analytic test densities.
     """
     solve_opts = solve_opts or SolveOptions()
     solutions = []
@@ -249,46 +248,38 @@ def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,
     return solutions, failures
 
 
-def run_uniqueness(spec: ExperimentSpec,
-                   solve_opts: SolveOptions | None = None) -> ExperimentReport:
-    """Solve every sample from all init strategies; report pairwise spread."""
-    if spec.kind != "uniqueness":
-        raise InvalidParameter(f"spec kind is {spec.kind!r}, expected 'uniqueness'")
-    grid = build_grid(spec.L)
-    columns = ["sample", "seed", "n_solved", "n_failed", "max_pairwise",
-               "worst_residual", "max_iterations"]
-    records = []
-    for i in range(spec.count):
-        seed = spec.sample_seed(i)
-        rec: dict = {"sample": i, "seed": seed}
-        try:
-            f = gen_density(seed, spec.eps, spec.lam, grid=grid)
-        except LogminkError as exc:
-            rec.update(n_solved=0, n_failed=len(spec.inits), max_pairwise=0.0,
-                       worst_residual=0.0, max_iterations=0,
-                       _failures=[("gen_density", str(exc))], _solutions=[])
-            records.append(rec)
-            continue
-        solutions, failures = solve_with_inits(f, spec.inits, grid, seed, solve_opts)
-        pairwise = 0.0
-        for a in range(len(solutions)):
-            for b in range(a + 1, len(solutions)):
-                d = hausdorff_distance(solutions[a][1].h, solutions[b][1].h)
-                pairwise = max(pairwise, d)
-        rec.update(
-            n_solved=len(solutions),
-            n_failed=len(failures),
-            max_pairwise=pairwise,
-            worst_residual=max((s.residual_sup for _, s in solutions), default=0.0),
-            max_iterations=max((s.iterations for _, s in solutions), default=0),
-            _f=f, _solutions=solutions, _failures=failures,
-        )
-        records.append(rec)
-    return ExperimentReport(spec, columns, records)
+def _uniqueness_record(spec: ExperimentSpec, grid: SphericalGrid, index: int,
+                       solve_opts: SolveOptions | None) -> dict:
+    """Solve one sample from all init strategies; record the pairwise spread."""
+    seed = spec.sample_seed(index)
+    rec: dict = {"sample": index, "seed": seed}
+    try:
+        f = gen_density(seed, spec.eps, spec.lam, grid=grid)
+    except LogminkError as exc:
+        rec.update(n_solved=0, n_failed=len(spec.inits), max_pairwise=0.0,
+                   worst_residual=0.0, max_iterations=0,
+                   _failures=[("gen_density", str(exc))], _solutions=[])
+        return rec
+    solutions, failures = solve_with_inits(f, spec.inits, grid, seed, solve_opts)
+    pairwise = 0.0
+    for a in range(len(solutions)):
+        for b in range(a + 1, len(solutions)):
+            d = hausdorff_distance(solutions[a][1].h, solutions[b][1].h)
+            pairwise = max(pairwise, d)
+    rec.update(
+        n_solved=len(solutions),
+        n_failed=len(failures),
+        max_pairwise=pairwise,
+        worst_residual=max((s.residual_sup for _, s in solutions), default=0.0),
+        max_iterations=max((s.iterations for _, s in solutions), default=0),
+        _f=f, _solutions=solutions, _failures=failures,
+    )
+    return rec
 
 
 def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
                         solve_opts: SolveOptions | None) -> dict:
+    """Solve one sample once; record its sup-norm, min h and blow-down ratios."""
     seed = spec.sample_seed(index)
     rec: dict = {"sample": index, "seed": seed}
     try:
@@ -315,56 +306,46 @@ def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
     return rec
 
 
-def run_bound(spec: ExperimentSpec,
-              solve_opts: SolveOptions | None = None) -> ExperimentReport:
-    """Record sup-norm, min h and blow-down diagnostics per sample.
-
-    The aggregate ``c_lambda`` is the empirical sup-norm cap over the
-    suite (the constant whose existence the a priori bound asserts).
-    """
-    if spec.kind != "bound":
-        raise InvalidParameter(f"spec kind is {spec.kind!r}, expected 'bound'")
-    grid = build_grid(spec.L)
-    columns = ["sample", "seed", "h_sup", "h_min", "iterations", "residual_sup",
-               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"]
-    records = [_solve_and_diagnose(spec, grid, i, solve_opts)
-               for i in range(spec.count)]
-    return ExperimentReport(spec, columns, records)
-
-
-def run_diagnostics(spec: ExperimentSpec, solve_opts: SolveOptions | None = None,
-                    ratio_cap: float = DIAGNOSTIC_RATIO_CAP) -> ExperimentReport:
-    """Ellipsoid ratio suite; enforces the documented empirical cap.
-
-    ``ratio_cap`` defaults to 3, the documented empirical bound on both
-    radius ratios for lam = 2 suites.  A sample exceeding it raises
-    :class:`ConvergenceFailure`, flagging either a solver problem or a
-    genuinely degenerating solution family worth inspection.
-    """
-    if spec.kind != "diagnostics":
-        raise InvalidParameter(f"spec kind is {spec.kind!r}, expected 'diagnostics'")
-    grid = build_grid(spec.L)
-    columns = ["sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
-               "plane_dist_ratio"]
-    records = [_solve_and_diagnose(spec, grid, i, solve_opts)
-               for i in range(spec.count)]
-    report = ExperimentReport(spec, columns, records)
-    worst = max(report.aggregates["max_ratio_32"],
-                report.aggregates["max_ratio_21"])
-    if worst > ratio_cap:
-        raise ConvergenceFailure(
-            f"diagnostic radius ratio {worst:.4g} exceeds the documented "
-            f"cap {ratio_cap:g}",
-            residual=worst, iterations=spec.count,
-        )
-    return report
+# kind -> (per-sample record function, report columns)
+_SUITES = {
+    "uniqueness": (_uniqueness_record,
+                   ["sample", "seed", "n_solved", "n_failed", "max_pairwise",
+                    "worst_residual", "max_iterations"]),
+    "bound": (_solve_and_diagnose,
+              ["sample", "seed", "h_sup", "h_min", "iterations", "residual_sup",
+               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"]),
+    "diagnostics": (_solve_and_diagnose,
+                    ["sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
+                     "plane_dist_ratio"]),
+}
 
 
 def run_experiment(spec: ExperimentSpec,
                    solve_opts: SolveOptions | None = None) -> ExperimentReport:
-    """Dispatch on spec.kind."""
-    if spec.kind == "uniqueness":
-        return run_uniqueness(spec, solve_opts)
-    if spec.kind == "bound":
-        return run_bound(spec, solve_opts)
-    return run_diagnostics(spec, solve_opts)
+    """Run the suite ``spec.kind`` over ``spec.count`` samples.
+
+    * uniqueness solves every sample from all init strategies and reports
+      the largest pairwise Hausdorff distance among the solutions.
+    * bound records sup-norm, min h and blow-down diagnostics per sample;
+      the aggregate ``c_lambda`` is the empirical sup-norm cap over the
+      suite (the constant whose existence the a priori bound asserts).
+    * diagnostics reports the ellipsoid radius ratios alone and enforces
+      :data:`DIAGNOSTIC_RATIO_CAP`, the documented empirical bound on both
+      ratios for lam = 2 suites.  A sample exceeding it raises
+      :class:`ConvergenceFailure`, flagging either a solver problem or a
+      genuinely degenerating solution family worth inspection.
+    """
+    record, columns = _SUITES[spec.kind]
+    grid = build_grid(spec.L)
+    report = ExperimentReport(spec, columns, [record(spec, grid, i, solve_opts)
+                                              for i in range(spec.count)])
+    if spec.kind == "diagnostics":
+        worst = max(report.aggregates["max_ratio_32"],
+                    report.aggregates["max_ratio_21"])
+        if worst > DIAGNOSTIC_RATIO_CAP:
+            raise ConvergenceFailure(
+                f"diagnostic radius ratio {worst:.4g} exceeds the documented "
+                f"cap {DIAGNOSTIC_RATIO_CAP:g}",
+                residual=worst, iterations=spec.count,
+            )
+    return report

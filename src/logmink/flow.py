@@ -69,9 +69,11 @@ from .solver import (
     ma_residual,
 )
 
-# Step control: a rejected step is halved at most _MAX_HALVINGS times in a
-# row, and run_flow multiplies dt by _DT_GROWTH after every _GROWTH_EVERY
-# consecutively accepted steps, up to _DT_MAX unless FlowOptions.dt_max is set.
+# Step control: a run takes at most _MAX_STEPS steps, a rejected step is
+# halved at most _MAX_HALVINGS times in a row, and run_flow multiplies dt by
+# _DT_GROWTH after every _GROWTH_EVERY consecutively accepted steps, up to
+# _DT_MAX unless FlowOptions.dt_max is set.
+_MAX_STEPS = 100000
 _MAX_HALVINGS = 40
 _DT_MAX = 0.2
 _DT_GROWTH = 1.5
@@ -114,7 +116,6 @@ class FlowOptions:
 
     dt_init: float = 1e-3
     stationarity_tol: float = 1e-9
-    max_steps: int = 100000
     renormalize: bool = True
     dt_max: float | None = None
     t_final: float | None = None
@@ -123,8 +124,6 @@ class FlowOptions:
     def __post_init__(self):
         _require_positive_finite("dt_init", self.dt_init)
         _require_positive_finite("stationarity_tol", self.stationarity_tol)
-        if self.max_steps < 1:
-            raise InvalidParameter(f"max_steps must be >= 1, got {self.max_steps}")
         for name in ("dt_max", "t_final", "residual_check"):
             value = getattr(self, name)
             if value is not None:
@@ -179,7 +178,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     Starting from ``h0`` (default: the round sphere matching the mean of
     f, on ``grid`` or the bandwidth-16 grid), the semi-implicit steps of
     the module docstring are taken with adaptive dt; after 40 halvings in
-    a row :class:`StepFailure` is raised.  With ``opts.renormalize`` off
+    a row :class:`StepFailure` is raised, and a run with no stop after
+    100000 steps, halved ones included, raises :class:`ConvergenceFailure`.  With ``opts.renormalize`` off
     the lambda term, the reflection and the rescale are dropped and the
     body shrinks.  The run is stationary once the undamped projected speed
     max |lambda h - f/det W| / max |h| at the start of an accepted step
@@ -212,7 +212,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     halvings_left = _MAX_HALVINGS
     steps_accepted = 0
 
-    for _ in range(opts.max_steps):
+    for _ in range(_MAX_STEPS):
         dt_step = dt
         if opts.t_final is not None:
             dt_step = min(dt_step, opts.t_final - t)
@@ -280,8 +280,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             accepted_in_a_row = 0
 
     raise ConvergenceFailure(
-        f"flow not stationary after {opts.max_steps} steps "
+        f"flow not stationary after {_MAX_STEPS} steps "
         f"(last rate above {opts.stationarity_tol:g})",
         residual=rows[-1][2] if rows else float("nan"),
-        iterations=opts.max_steps,
+        iterations=_MAX_STEPS,
     )

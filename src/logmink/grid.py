@@ -27,10 +27,11 @@ is one batched product over the orders and one GEMM with the longitude
 table: O(L**3) per call.  The Newton Jacobian is assembled from them in
 O(L**5); only this module reads them.
 
-The colatitude parts are normalized associated Legendre functions built by
-their stable three-term recurrences (see :func:`_theta_basis`), and the
-rings sit at the Gauss-Legendre nodes of ``numpy.polynomial.legendre``;
-the grid needs nothing beyond numpy.
+The colatitude parts are normalized associated Legendre functions from one
+stable three-term recurrence, evaluated one order at a time by
+:func:`_legendre_order`; the ring tables, off-grid evaluation and the
+harmonic sup-norms all call it.  The rings sit at the Gauss-Legendre nodes
+of ``numpy.polynomial.legendre``; the grid needs nothing beyond numpy.
 
 Conventions
 -----------
@@ -109,8 +110,10 @@ def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ms
 
 
-def _theta_basis(L: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized associated Legendre values and theta-derivatives.
+def _legendre_order(L: int, m: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized associated Legendre values and theta-derivatives of one order.
+
+    This is the grid's one Legendre recurrence.
 
     The values ``Pbar_lm = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos t)``,
     Condon-Shortley sign included, come from the stable recurrences of the
@@ -134,35 +137,42 @@ def _theta_basis(L: int, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ----------
     L : int
         Maximum degree.
+    m : int
+        Order, ``0 <= m <= L``.
     mu : ndarray
-        cos(theta) at the colatitude rings, strictly inside (-1, 1).
+        cos(theta) at the evaluation points, strictly inside (-1, 1).
 
     Returns
     -------
-    theta_part, dtheta_part : ndarray
-        Shape ``(len(mu), L+1, L+1)`` arrays indexed by ``[ring, l, m]``
-        (entries with m > l are zero) holding ``Pbar_lm`` and its
-        derivative with respect to theta.
+    values, dtheta : ndarray
+        Shape ``(len(mu), L+1)`` arrays indexed by ``[point, l]`` (zero for
+        ``l < m``) holding ``Pbar_lm`` and its derivative with respect to theta.
     """
     sin_theta = np.sqrt(1.0 - mu**2)
-    P = np.zeros((len(mu), L + 1, L + 1))
-    P[:, 0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for l in range(1, L + 1):
-        P[:, l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * sin_theta * P[:, l - 1, l - 1]
-        P[:, l, l - 1] = np.sqrt(2 * l + 1) * mu * P[:, l - 1, l - 1]
-        m = np.arange(l - 1)
-        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
-        b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-        P[:, l, :l - 1] = a * (mu[:, None] * P[:, l - 1, :l - 1] - b * P[:, l - 2, :l - 1])
+    # The sectoral steps are one running product over the orders up to m;
+    # rows are degrees while the recurrence runs, so each step writes a row.
+    k = np.arange(1, m + 1)
+    steps = np.empty((m + 1, len(mu)))
+    steps[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    steps[1:] = -np.sqrt((2 * k + 1) / (2 * k))[:, None] * sin_theta
+    P = np.zeros((L + 1, len(mu)))
+    P[m] = np.cumprod(steps, axis=0)[m]
+    if m < L:
+        P[m + 1] = np.sqrt(2 * m + 3) * mu * P[m]
+    l = np.arange(m + 2, L + 1)
+    a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+    b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+    for degree, a_l, b_l in zip(range(m + 2, L + 1), a, b):
+        P[degree] = a_l * (mu * P[degree - 1] - b_l * P[degree - 2])
 
-    l, m = np.ogrid[: L + 1, : L + 1]
-    down = np.zeros((L + 1, L + 1))
+    l = np.arange(L + 1)
+    down = np.zeros(L + 1)
     below = m < l
     down[below] = np.sqrt(((2 * l + 1) * (l - m) * (l + m) / (2 * l - 1))[below])
-    dP = l * mu[:, None, None] * P
-    dP[:, 1:, :] -= down[1:] * P[:, :-1, :]
-    dP /= sin_theta[:, None, None]
-    return P, dP
+    dP = l[:, None] * mu * P
+    dP[1:] -= down[1:, None] * P[:-1]
+    dP /= sin_theta
+    return P.T, dP.T
 
 
 def _trig_table(L: int, phi: np.ndarray) -> np.ndarray:
@@ -178,27 +188,6 @@ def _trig_table(L: int, phi: np.ndarray) -> np.ndarray:
                       root2 * np.cos(angle)])
 
 
-def _legendre_column(l: int, m: int, mu: np.ndarray) -> np.ndarray:
-    """``Pbar_lm`` at ``mu = cos(theta)`` for one degree and order ``0 <= m <= l``.
-
-    The sectoral recurrence runs up to ``m``, then the degree recurrence at
-    order ``m`` only; each step is written as in :func:`_theta_basis`, so the
-    result equals its column ``[:, l, m]`` bit for bit in O(l) work per point.
-    """
-    sin_theta = np.sqrt(1.0 - mu**2)
-    low = np.full(len(mu), 1.0 / np.sqrt(4.0 * np.pi))
-    for k in range(1, m + 1):
-        low = -np.sqrt((2 * k + 1) / (2 * k)) * sin_theta * low
-    if l == m:
-        return low
-    high = np.sqrt(2 * m + 3) * mu * low
-    for k in range(m + 2, l + 1):
-        a = np.sqrt((4 * k * k - 1) / (k * k - m * m))
-        b = np.sqrt(((k - 1) ** 2 - m * m) / (4 * (k - 1) ** 2 - 1))
-        low, high = high, a * (mu * high - b * low)
-    return high
-
-
 def _harmonic_sup(l: int, m: int) -> float:
     """Sup-norm of the real harmonic (l, m) over the sphere: the maximum of its
     normalized Legendre part, as the longitude factor attains 1.  Zonal harmonics
@@ -207,7 +196,8 @@ def _harmonic_sup(l: int, m: int) -> float:
     if m == 0:
         return float(np.sqrt((2 * l + 1) / (4.0 * np.pi)))
     theta = np.linspace(0.0, np.pi, 4097)[1:-1]
-    return float(np.sqrt(2.0) * np.max(np.abs(_legendre_column(l, abs(m), np.cos(theta)))))
+    column = _legendre_order(l, abs(m), np.cos(theta))[0][:, l]
+    return float(np.sqrt(2.0) * np.max(np.abs(column)))
 
 
 class SphericalGrid:
@@ -273,26 +263,33 @@ class SphericalGrid:
         """Ring tables of the spectral operators (built lazily, then cached).
 
         Each basis function and each of its frame derivatives is a
-        colatitude part times a longitude part.  The colatitude parts are
-        stored order-major: block ``m + L`` of a table is ``nlat x (L+1)``,
-        indexed ``[ring, l]`` and zero for ``l < |m|``.  ``Pm`` holds the
-        values, ``Gm`` the gradient parts ``G1 | G2`` and ``Hm`` the Hessian
-        parts ``R11 | R12 | R22``, stacked along the ring axis.  ``G2`` and
-        ``R12`` pair with the partner order ``-m``, and ``G2`` carries the
-        gradient's ``1/sin(theta)``.  The longitude parts are the columns of
-        ``trig`` (see :func:`_trig_table`).  ``slots`` places flat
-        coefficient ``(l, m)`` at ``(m + L)(L + 1) + l`` of a padded
-        ``(2L+1) x (L+1)`` array; ``ms`` is its signed order and ``lap_eig``
-        its Laplacian eigenvalue.  ``ring_weights`` is one node's quadrature
-        weight per ring.
+        colatitude part times a longitude part.  The colatitude parts come
+        from the one Legendre recurrence, :func:`_legendre_order`, called
+        once per order ``m = 0..L``, and are stored order-major: block
+        ``m + L`` of a table is ``nlat x (L+1)``, indexed ``[ring, l]`` and
+        zero for ``l < |m|``.  ``Pm`` holds the values, ``Gm`` the gradient
+        parts ``G1 | G2`` and ``Hm`` the Hessian parts ``R11 | R12 | R22``,
+        stacked along the ring axis.  ``G2`` and ``R12`` pair with the
+        partner order ``-m``, and ``G2`` carries the gradient's
+        ``1/sin(theta)``.  The longitude parts are the columns of ``trig``
+        (see :func:`_trig_table`).  ``slots`` places flat coefficient
+        ``(l, m)`` at ``(m + L)(L + 1) + l`` of a padded ``(2L+1) x (L+1)``
+        array; ``ms`` is its signed order and ``lap_eig`` its Laplacian
+        eigenvalue.  ``ring_weights`` is one node's quadrature weight per
+        ring.
         """
         L = self.L
         ls, ms = _degree_order_arrays(L)
-        theta_part, dtheta_part = _theta_basis(L, np.cos(self.theta))
-        # Blocks L..2L, orders m = 0..L, come first as [m, ring, l]; there
-        # G2 and R12 carry the phi-derivative's scale |m| of the sin orders.
-        P = theta_part.transpose(2, 0, 1)
-        dP = dtheta_part.transpose(2, 0, 1)
+        nlat = self.nlat
+        Pm = np.empty((2 * L + 1, nlat, L + 1))
+        Gm = np.empty((2 * L + 1, 2 * nlat, L + 1))
+        Hm = np.empty((2 * L + 1, 3 * nlat, L + 1))
+        # Blocks L..2L, orders m = 0..L, come first, one recurrence call each;
+        # there G2 and R12 carry the phi-derivative's scale |m| of the sin orders.
+        mu = np.cos(self.theta)
+        for order in range(L + 1):
+            Pm[L + order], Gm[L + order, :nlat] = _legendre_order(L, order, mu)
+        P, dP = Pm[L:], Gm[L:, :nlat]
         degrees = np.arange(L + 1)
         lap = -(degrees * (degrees + 1)).astype(float)
         m = degrees.astype(float)[:, None, None]
@@ -302,13 +299,7 @@ class SphericalGrid:
         # then the Christoffel corrections of the round metric give the
         # covariant Hessian in the orthonormal frame.
         st = np.sin(self.theta)[:, None]
-        cot = np.cos(self.theta)[:, None] / st
-        nlat = self.nlat
-        Pm = np.empty((2 * L + 1, nlat, L + 1))
-        Gm = np.empty((2 * L + 1, 2 * nlat, L + 1))
-        Hm = np.empty((2 * L + 1, 3 * nlat, L + 1))
-        Pm[L:] = P
-        Gm[L:, :nlat] = dP
+        cot = mu[:, None] / st
         Gm[L:, nlat:] = P * m / st
         Hm[L:, :nlat] = -cot * dP + lap * P + m2 * P / st**2
         Hm[L:, nlat:2 * nlat] = (dP - cot * P) / st * m
@@ -604,9 +595,11 @@ def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarra
         raise InvalidParameter("theta and phi must have matching shapes")
     if np.any((theta <= 0.0) | (theta >= np.pi)):
         raise InvalidParameter("evaluation points must avoid the poles")
-    theta_part, _ = _theta_basis(coeffs.L, np.cos(theta))
-    ls, ms = _degree_order_arrays(coeffs.L)
-    basis = theta_part[:, ls, np.abs(ms)] * _trig_table(coeffs.L, phi)[:, ms + coeffs.L]
+    L = coeffs.L
+    mu = np.cos(theta)
+    orders = np.stack([_legendre_order(L, m, mu)[0] for m in range(L + 1)], axis=1)
+    ls, ms = _degree_order_arrays(L)
+    basis = orders[:, np.abs(ms), ls] * _trig_table(L, phi)[:, ms + L]
     return basis @ coeffs.values
 
 

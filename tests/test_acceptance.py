@@ -21,7 +21,7 @@ from logmink.convex import (
     volume,
     volume_from_support,
 )
-from logmink.experiments import ExperimentSpec, gen_density, run_bound, run_uniqueness
+from logmink.experiments import ExperimentSpec, gen_density, run_experiment
 from logmink.flow import FlowOptions, run_flow
 from logmink.grid import HarmonicCoeffs, ScalarField, build_grid, lm_index, synthesize
 from logmink.solver import (
@@ -38,13 +38,13 @@ GRID = build_grid(16)
 @pytest.fixture(scope="module")
 def uniqueness_suite():
     spec = ExperimentSpec(kind="uniqueness", count=20, seed=42, eps=0.05, lam=2.0)
-    return run_uniqueness(spec)
+    return run_experiment(spec)
 
 
 @pytest.fixture(scope="module")
 def bound_suite():
     spec = ExperimentSpec(kind="bound", count=50, seed=7, eps=0.05, lam=2.0)
-    return run_bound(spec)
+    return run_experiment(spec)
 
 
 def cube_points(half=1.0):
@@ -285,7 +285,7 @@ def test_criterion_11_weak_continuity():
 def test_criterion_12_suite_determinism():
     """Re-running a suite from the same spec reproduces the report bytes."""
     spec = ExperimentSpec(kind="uniqueness", count=2, seed=0, eps=0.05, lam=2.0)
-    first = run_uniqueness(spec).to_csv()
-    second = run_uniqueness(spec).to_csv()
+    first = run_experiment(spec).to_csv()
+    second = run_experiment(spec).to_csv()
     assert first == second
     print(f"criterion 12: {len(first)} report bytes reproduced exactly")

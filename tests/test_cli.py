@@ -307,9 +307,13 @@ def test_config_keys_match_the_cli_flags():
     # every flag of every subcommand can be set from a --config file
     subparsers = next(action for action in cli._build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for parser in subparsers.choices.values()
-             for action in parser._actions if action.dest != "help"}
-    assert cli._CONFIG_KEYS == dests | {"config"}
+    actions = [action for parser in subparsers.choices.values()
+               for action in parser._actions if action.dest != "help"]
+    assert set(cli._CONFIG_TYPES) == {action.dest for action in actions}
+    # and a config value parses as the type its flag parses as
+    for action in actions:
+        flag_type = bool if action.nargs == 0 else (action.type or str)
+        assert cli._CONFIG_TYPES[action.dest] is flag_type, action.dest
 
 
 def test_john_and_diag_on_a_solved_body(tmp_path, capsys):
@@ -330,6 +334,36 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("volume=8\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["solve", "--f", "const:1.0"], "grid_L=abc"),
+    (["experiment", "--kind", "bound"], "count=2.5"),
+    (["flow", "--f", "const:1.0"], "renormalize=flase"),
+], ids=["non-integer-bandwidth", "fractional-count", "misspelt-boolean"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    code = main(argv + ["--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_config_boolean_false_turns_renormalization_off(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("renormalize=false\n")
+    base = ["flow", "--f", "const:1.0", "--h0", "const:2.0", "--t-final", "0.01"]
+    runs = {"config": ["--config", str(cfg)], "flag": ["--no-renormalize"], "on": []}
+    for name, extra in runs.items():
+        assert main(base + extra + ["--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    trace = {name: (tmp_path / name / "trace.csv").read_text() for name in runs}
+    assert trace["config"] == trace["flag"]
+    assert trace["config"] != trace["on"]
 
 
 def test_missing_obj_exits_1(tmp_path, capsys):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink import experiments
 from logmink.errors import ConvergenceFailure, InvalidParameter
 from logmink.experiments import (
     ExperimentReport,
     ExperimentSpec,
     gen_density,
-    run_bound,
-    run_diagnostics,
     run_experiment,
-    run_uniqueness,
     solve_with_inits,
 )
 from logmink.grid import build_grid, lm_index
@@ -113,15 +111,6 @@ def test_spec_seeds_and_description():
     assert "inits=const:0.7|const:1.0|const:1.4|perturb|flow" in text
 
 
-def test_runner_kind_checks():
-    with pytest.raises(InvalidParameter):
-        run_uniqueness(ExperimentSpec(kind="bound", count=1))
-    with pytest.raises(InvalidParameter):
-        run_bound(ExperimentSpec(kind="uniqueness", count=1))
-    with pytest.raises(InvalidParameter):
-        run_diagnostics(ExperimentSpec(kind="bound", count=1))
-
-
 # ---------------------------------------------------------------------------
 # solving from several starts
 
@@ -157,7 +146,7 @@ def test_bad_init_strategy_reported(grid):
 def test_uniqueness_small_run(grid):
     spec = ExperimentSpec(kind="uniqueness", count=2, seed=1,
                           inits=("const:0.7", "const:1.4", "perturb"))
-    report = run_uniqueness(spec)
+    report = run_experiment(spec)
     assert report.aggregates["n_samples"] == 2
     assert report.aggregates["n_failures"] == 0
     assert report.aggregates["max_pairwise"] <= 1e-6
@@ -172,7 +161,7 @@ def test_uniqueness_small_run(grid):
 
 def test_bound_small_run(grid):
     spec = ExperimentSpec(kind="bound", count=2, seed=2)
-    report = run_bound(spec)
+    report = run_experiment(spec)
     agg = report.aggregates
     assert agg["n_failures"] == 0
     # eps = 0.05 solutions stay within a few percent of the unit sphere
@@ -182,15 +171,16 @@ def test_bound_small_run(grid):
     assert 1.0 <= agg["max_ratio_21"] < 1.5
 
 
-def test_diagnostics_run_and_cap(grid):
+def test_diagnostics_run_and_cap(grid, monkeypatch):
     spec = ExperimentSpec(kind="diagnostics", count=1, seed=4)
-    report = run_diagnostics(spec)
+    report = run_experiment(spec)
     rec = report.records[0]
     assert abs(rec["ratio_32"] - 1.0) < 0.2
     assert abs(rec["ratio_21"] - 1.0) < 0.2
     # an impossible cap (below 1) must trip the failure path
+    monkeypatch.setattr(experiments, "DIAGNOSTIC_RATIO_CAP", 0.5)
     with pytest.raises(ConvergenceFailure):
-        run_diagnostics(spec, ratio_cap=0.5)
+        run_experiment(spec)
 
 
 def test_run_experiment_dispatch(grid):
@@ -205,7 +195,7 @@ def test_run_experiment_dispatch(grid):
 
 def test_report_csv_schema(grid):
     spec = ExperimentSpec(kind="bound", count=2, seed=3)
-    report = run_bound(spec)
+    report = run_experiment(spec)
     lines = report.to_csv().splitlines()
     assert lines[0] == f"# spec: {spec.describe()}"
     assert lines[1] == ",".join(report.columns)
@@ -224,12 +214,12 @@ def test_report_csv_schema(grid):
 
 def test_report_aggregates_consistent(grid):
     spec = ExperimentSpec(kind="bound", count=2, seed=3)
-    report = run_bound(spec)
+    report = run_experiment(spec)
     assert report.aggregates == report.recompute_aggregates()
 
 
 def test_report_deterministic(grid):
     spec = ExperimentSpec(kind="bound", count=2, seed=3)
-    a = run_bound(spec).to_csv()
-    b = run_bound(spec).to_csv()
+    a = run_experiment(spec).to_csv()
+    b = run_experiment(spec).to_csv()
     assert a == b

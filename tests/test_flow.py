@@ -96,8 +96,6 @@ def test_flow_options_validation():
     with pytest.raises(InvalidParameter):
         FlowOptions(stationarity_tol=-1.0)
     with pytest.raises(InvalidParameter):
-        FlowOptions(max_steps=0)
-    with pytest.raises(InvalidParameter):
         FlowOptions(t_final=0.0)
     with pytest.raises(InvalidParameter):
         FlowOptions(residual_check=0.0)

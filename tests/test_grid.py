@@ -26,8 +26,7 @@ from logmink.grid import (
     synthesize,
     tangential_gradient,
     _harmonic_sup,
-    _legendre_column,
-    _theta_basis,
+    _legendre_order,
     _trig_table,
 )
 
@@ -198,6 +197,13 @@ def test_spec_holds_only_ring_tables():
         assert sum(a.nbytes for a in arrays) <= bound < 27e6
 
 
+def _stacked_orders(L, mu):
+    """``[point, l, m]`` cubes of ``Pbar_lm`` and its theta-derivative, stacked
+    from one ``_legendre_order`` call per order (zero where ``l < m``)."""
+    blocks = [_legendre_order(L, m, mu) for m in range(L + 1)]
+    return tuple(np.stack(part, axis=2) for part in zip(*blocks))
+
+
 def _dense_rings(grid):
     """Per-coefficient basis columns and their derivatives, one ring at a time.
 
@@ -211,7 +217,7 @@ def _dense_rings(grid):
     lm = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
     assert [lm_index(l, m) for l, m in lm] == list(range(grid.n_coeffs))
     ls, ms = np.array(lm).T
-    P, dP = _theta_basis(L, np.cos(grid.theta))
+    P, dP = _stacked_orders(L, np.cos(grid.theta))
     trig = _trig_table(L, grid.phi)[:, ms + L]
     angle = np.outer(grid.phi, np.abs(ms))
     root2 = np.sqrt(2.0)
@@ -256,15 +262,13 @@ def test_transforms_match_dense_basis_columns(L):
 
 @pytest.mark.parametrize("l, m", [(1, 1), (5, -3), (16, 16), (48, 3), (48, -47)])
 def test_harmonic_sup_builds_one_legendre_column(l, m):
-    # the single-column recurrence repeats _theta_basis's arithmetic exactly
     mu = np.cos(np.linspace(0.0, np.pi, 4097)[1:-1])
-    column = _theta_basis(l, mu)[0][:, l, abs(m)]
-    assert np.array_equal(_legendre_column(l, abs(m), mu), column)
+    column = _stacked_orders(l, mu)[0][:, l, abs(m)]
     assert _harmonic_sup(l, m) == float(np.sqrt(2.0) * np.max(np.abs(column)))
 
 
 def test_only_the_grid_module_reads_the_ring_tables():
-    private = re.compile(r"\._spec\b|\b_theta_basis\b|\b_trig_table\b|\b_degree_order_arrays\b")
+    private = re.compile(r"\._spec\b|\b_legendre_order\b|\b_trig_table\b|\b_degree_order_arrays\b")
     modules = sorted(Path(logmink.__file__).parent.glob("*.py"))
     assert any(path.name == "grid.py" for path in modules)
     readers = [path.name for path in modules
@@ -302,7 +306,7 @@ def _lpmv_basis(L, mu):
 @pytest.mark.parametrize("L", [16, 48, 64])
 def test_theta_basis_matches_lpmv(L):
     mu = np.cos(build_grid(L).theta)
-    P, dP = _theta_basis(L, mu)
+    P, dP = _stacked_orders(L, mu)
     P_ref, dP_ref = _lpmv_basis(L, mu)
     assert np.max(np.abs(P - P_ref)) <= 1e-12 * np.max(np.abs(P_ref))
     assert np.max(np.abs(dP - dP_ref)) <= 1e-12 * np.max(np.abs(dP_ref))
@@ -319,7 +323,7 @@ def _assert_orthonormal_per_order(P, ring_weights):
 
 def test_ring_tables_orthonormal_at_the_cap():
     grid = build_grid(64)
-    P, _ = _theta_basis(grid.L, np.cos(grid.theta))
+    P, _ = _stacked_orders(grid.L, np.cos(grid.theta))
     # one node's weight times the ring's node count is 2 pi w_j
     _assert_orthonormal_per_order(P, grid.weights[::grid.nlon] * grid.nlon)
 
@@ -327,9 +331,22 @@ def test_ring_tables_orthonormal_at_the_cap():
 def test_theta_basis_finite_and_orthonormal_beyond_the_cap():
     L = 96
     x, w = np.polynomial.legendre.leggauss(L + 1)
-    P, dP = _theta_basis(L, x)
+    P, dP = _stacked_orders(L, x)
     assert np.all(np.isfinite(P)) and np.all(np.isfinite(dP))
     _assert_orthonormal_per_order(P, 2.0 * np.pi * w)
+
+
+def test_sectoral_running_product_matches_the_loop():
+    # _legendre_order takes Pbar_mm from one running product over the orders;
+    # it must equal the step-by-step recurrence bit for bit
+    L = 96
+    mu = np.polynomial.legendre.leggauss(L + 1)[0]
+    sin_theta = np.sqrt(1.0 - mu**2)
+    sectoral = np.full(len(mu), 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(L + 1):
+        if m:
+            sectoral = -np.sqrt((2 * m + 1) / (2 * m)) * sin_theta * sectoral
+        assert np.array_equal(_legendre_order(L, m, mu)[0][:, m], sectoral), m
 
 
 @pytest.mark.parametrize("L", [4, 16, 48, 64])
