@@ -40,7 +40,7 @@ from .convex import (
 from .errors import InvalidParameter, LogminkError
 from .experiments import ExperimentSpec, gen_density, run_experiment
 from .flow import FlowOptions, run_flow
-from .grid import build_grid, field_to_csv
+from .grid import _csv_text, build_grid, field_to_csv
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 # Every config key and the type its text must parse as (see _get).
@@ -196,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> dict:
+def _merge(args: argparse.Namespace, actions) -> dict:
+    """Config-file values overridden by the flags, each within its flag's choices."""
     cfg: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
@@ -205,6 +206,11 @@ def _merge(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         cfg[key] = value
+    for action in actions:
+        if (action.choices and action.dest in cfg
+                and _get(cfg, action.dest) not in action.choices):
+            raise InvalidParameter(f"config key {action.dest} must be one of "
+                                   f"{', '.join(action.choices)}, got {cfg[action.dest]!r}")
     return cfg
 
 
@@ -309,12 +315,9 @@ def cmd_flow(cfg: dict) -> int:
 def cmd_measure(cfg: dict) -> int:
     P = _load_polytope(cfg)
     which = _get(cfg, "measure", "both")
-    if which in ("surface", "both"):
-        write_atomic(_out_path(cfg, "surface_measure.csv"),
-                     measure_to_csv(surface_area_measure(P)))
-    if which in ("cone", "both"):
-        write_atomic(_out_path(cfg, "cone_measure.csv"),
-                     measure_to_csv(cone_volume_measure(P)))
+    for name, measure in (("surface", surface_area_measure), ("cone", cone_volume_measure)):
+        if which in (name, "both"):
+            write_atomic(_out_path(cfg, f"{name}_measure.csv"), measure_to_csv(measure(P)))
     print(f"measured polytope with {P.n_facets} facets")
     return 0
 
@@ -322,13 +325,9 @@ def cmd_measure(cfg: dict) -> int:
 def cmd_john(cfg: dict) -> int:
     P = _load_polytope(cfg)
     E = enclosing_ellipsoid(P)
-    lines = ["quantity,x,y,z",
-             "center," + ",".join(repr(float(v)) for v in E.center),
-             "radii," + ",".join(repr(float(v)) for v in E.radii)]
-    for i in range(3):
-        lines.append(f"axis_{i + 1}," +
-                     ",".join(repr(float(v)) for v in E.axes[i]))
-    write_atomic(_out_path(cfg, "ellipsoid.csv"), "\n".join(lines) + "\n")
+    rows = [["center", *E.center.tolist()], ["radii", *E.radii.tolist()]]
+    rows += [[f"axis_{i + 1}", *axis] for i, axis in enumerate(E.axes.tolist())]
+    write_atomic(_out_path(cfg, "ellipsoid.csv"), _csv_text("quantity,x,y,z", rows))
     print("radii: " + ", ".join(f"{v:.6g}" for v in E.radii))
     return 0
 
@@ -336,10 +335,9 @@ def cmd_john(cfg: dict) -> int:
 def cmd_diag(cfg: dict) -> int:
     P = _load_polytope(cfg)
     d = blowdown_diagnostics(P)
-    header = "ratio_32,ratio_21,axis_dist_ratio,plane_dist_ratio"
-    row = ",".join(repr(float(v)) for v in
-                   (d.ratio_32, d.ratio_21, d.axis_dist_ratio, d.plane_dist_ratio))
-    write_atomic(_out_path(cfg, "diagnostics.csv"), header + "\n" + row + "\n")
+    row = [d.ratio_32, d.ratio_21, d.axis_dist_ratio, d.plane_dist_ratio]
+    write_atomic(_out_path(cfg, "diagnostics.csv"),
+                 _csv_text("ratio_32,ratio_21,axis_dist_ratio,plane_dist_ratio", [row]))
     print(f"ratio_32 = {d.ratio_32:.6g}, ratio_21 = {d.ratio_21:.6g}")
     return 0
 
@@ -375,8 +373,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
     try:
-        cfg = _merge(args)
+        cfg = _merge(args, subcommands.choices[args.command]._actions)
     except (InvalidParameter, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,9 @@ from .errors import (
 from .grid import (
     ScalarField,
     SphericalGrid,
+    _csv_cell,
+    _csv_rows,
+    _csv_text,
     integrate,
     require_same_grid,
     tangential_gradient,
@@ -837,11 +840,8 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
 
 def polytope_to_obj(P: Polytope) -> str:
     """OBJ text: one `v` line per vertex, one `f` line per facet (1-based)."""
-    lines = []
-    for x, y, z in P.vertices:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for loop in P.facet_loops():
-        lines.append("f " + " ".join(str(i + 1) for i in loop))
+    lines = ["v " + " ".join(map(_csv_cell, xyz)) for xyz in P.vertices.tolist()]
+    lines += ["f " + " ".join(str(i + 1) for i in loop) for loop in P.facet_loops()]
     return "\n".join(lines) + "\n"
 
 
@@ -885,27 +885,11 @@ def polytope_from_obj(text: str) -> Polytope:
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
     """CSV with header nx,ny,nz,weight and full-precision rows."""
-    lines = ["nx,ny,nz,weight"]
-    for (nx, ny, nz), w in zip(measure.vectors, measure.weights):
-        lines.append(f"{float(nx)!r},{float(ny)!r},{float(nz)!r},{float(w)!r}")
-    return "\n".join(lines) + "\n"
+    atoms = np.column_stack((measure.vectors, measure.weights))
+    return _csv_text("nx,ny,nz,weight", atoms.tolist())
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:
-    rows = [line.strip() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")]
-    if not rows or rows[0] != "nx,ny,nz,weight":
-        raise InvalidParameter("measure CSV must start with header nx,ny,nz,weight")
-    vectors = []
-    weights = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise InvalidParameter(f"measure CSV line {lineno}: expected 4 fields")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvalidParameter(f"measure CSV line {lineno}: bad number") from exc
-        vectors.append(vals[:3])
-        weights.append(vals[3])
-    return DiscreteMeasure(np.array(vectors), np.array(weights))
+    """Parse a measure written by :func:`measure_to_csv`."""
+    _, atoms = _csv_rows(text, "nx,ny,nz,weight", "measure CSV")
+    return DiscreteMeasure(atoms[:, :3], atoms[:, 3])

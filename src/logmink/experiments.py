@@ -31,7 +31,7 @@ from .errors import (
     LogminkError,
 )
 from .flow import FlowOptions, run_flow
-from .grid import HarmonicCoeffs, SphericalGrid, build_grid
+from .grid import HarmonicCoeffs, SphericalGrid, _csv_cell, _csv_text, build_grid
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 _DEFAULT_INITS = ("const:0.7", "const:1.0", "const:1.4", "perturb", "flow")
@@ -98,41 +98,19 @@ class ExperimentReport:
         self.aggregates = self.recompute_aggregates()
 
     def recompute_aggregates(self) -> dict:
-        agg: dict = {"n_samples": len(self.records)}
-        failures = sum(len(r.get("_failures", ())) for r in self.records)
-        agg["n_failures"] = failures
-        if self.spec.kind == "uniqueness":
-            vals = [r["max_pairwise"] for r in self.records if r["n_solved"] >= 2]
-            agg["max_pairwise"] = max(vals) if vals else 0.0
-            res = [r["worst_residual"] for r in self.records if r["n_solved"] >= 1]
-            agg["worst_residual"] = max(res) if res else 0.0
-        else:
-            solved = [r for r in self.records if not r.get("_failures")]
-            if self.spec.kind == "bound":
-                agg["c_lambda"] = max((r["h_sup"] for r in solved), default=0.0)
-                agg["min_h"] = min((r["h_min"] for r in solved), default=0.0)
-            agg["max_ratio_32"] = max((r["ratio_32"] for r in solved), default=0.0)
-            agg["max_ratio_21"] = max((r["ratio_21"] for r in solved), default=0.0)
-        return agg
+        _, _, suite_aggregates = _SUITES[self.spec.kind]
+        return {"n_samples": len(self.records),
+                "n_failures": sum(len(r.get("_failures", ())) for r in self.records),
+                **suite_aggregates(self.records)}
 
     def to_csv(self) -> str:
-        lines = [f"# spec: {self.spec.describe()}"]
-        lines.append(",".join(self.columns))
-        for rec in self.records:
-            lines.append(",".join(_csv_cell(rec[c]) for c in self.columns))
-        for key in sorted(self.aggregates):
-            lines.append(f"# aggregate {key}={_csv_cell(self.aggregates[key])}")
-        return "\n".join(lines) + "\n"
+        rows = ([rec[c] for c in self.columns] for rec in self.records)
+        tail = [f"aggregate {k}={_csv_cell(v)}" for k, v in sorted(self.aggregates.items())]
+        return _csv_text(",".join(self.columns), rows, [f"spec: {self.spec.describe()}"], tail)
 
     def __repr__(self) -> str:
         return (f"ExperimentReport(kind={self.spec.kind!r}, "
                 f"n_samples={len(self.records)}, aggregates={self.aggregates})")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def gen_density(seed: int, eps: float, lam: float, L: int = 16,
@@ -306,17 +284,39 @@ def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
     return rec
 
 
-# kind -> (per-sample record function, report columns)
+def _uniqueness_aggregates(records: list) -> dict:
+    return {key: max((r[key] for r in records if r["n_solved"] >= least), default=0.0)
+            for key, least in (("max_pairwise", 2), ("worst_residual", 1))}
+
+
+def _ratio_aggregates(records: list) -> dict:
+    solved = [r for r in records if not r.get("_failures")]
+    return {f"max_{key}": max((r[key] for r in solved), default=0.0)
+            for key in ("ratio_32", "ratio_21")}
+
+
+def _bound_aggregates(records: list) -> dict:
+    solved = [r for r in records if not r.get("_failures")]
+    return {"c_lambda": max((r["h_sup"] for r in solved), default=0.0),
+            "min_h": min((r["h_min"] for r in solved), default=0.0),
+            **_ratio_aggregates(solved)}
+
+
+# kind -> (per-sample record function, report columns, function of the records
+# giving the suite's aggregates after n_samples and n_failures)
 _SUITES = {
     "uniqueness": (_uniqueness_record,
                    ["sample", "seed", "n_solved", "n_failed", "max_pairwise",
-                    "worst_residual", "max_iterations"]),
+                    "worst_residual", "max_iterations"],
+                   _uniqueness_aggregates),
     "bound": (_solve_and_diagnose,
               ["sample", "seed", "h_sup", "h_min", "iterations", "residual_sup",
-               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"]),
+               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"],
+              _bound_aggregates),
     "diagnostics": (_solve_and_diagnose,
                     ["sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
-                     "plane_dist_ratio"]),
+                     "plane_dist_ratio"],
+                    _ratio_aggregates),
 }
 
 
@@ -335,7 +335,7 @@ def run_experiment(spec: ExperimentSpec,
       :class:`ConvergenceFailure`, flagging either a solver problem or a
       genuinely degenerating solution family worth inspection.
     """
-    record, columns = _SUITES[spec.kind]
+    record, columns, _ = _SUITES[spec.kind]
     grid = build_grid(spec.L)
     report = ExperimentReport(spec, columns, [record(spec, grid, i, solve_opts)
                                               for i in range(spec.count)])

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid
+from .grid import SphericalGrid, _csv_text
 from .solver import (
     DensityFunction,
     SupportFunction,
@@ -149,10 +149,7 @@ class FlowResult:
     rows: list = field(repr=False, default_factory=list)
 
     def trace_csv(self) -> str:
-        lines = ["t,volume,residual_sup,min_h"]
-        for t, vol, res, hmin in self.rows:
-            lines.append(f"{t!r},{vol!r},{res!r},{hmin!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("t,volume,residual_sup,min_h", self.rows)
 
 
 def _mass(h: SupportFunction) -> float:

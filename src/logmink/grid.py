@@ -47,7 +47,6 @@ Conventions
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from types import SimpleNamespace
@@ -604,17 +603,53 @@ def evaluate_harmonics(coeffs: HarmonicCoeffs, theta: np.ndarray, phi: np.ndarra
 
 
 # ----------------------------------------------------------------------
-# Serialization: plain CSV with one row per node, colatitude-major order.
+# Serialization: every CSV artefact is "# " comments, a header and rows, with
+# floats written by repr so that equal values give equal bytes.
 # ----------------------------------------------------------------------
 
+def _csv_cell(value) -> str:
+    """A float as ``repr(float(value))``, anything else with ``str``."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _csv_text(header: str, rows, head=(), tail=()) -> str:
+    """CSV text: ``# `` comments ``head``, the header, the rows, comments ``tail``."""
+    lines = [f"# {line}" for line in head]
+    lines.append(header)
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    lines.extend(f"# {line}" for line in tail)
+    return "\n".join(lines) + "\n"
+
+
+def _csv_rows(text: str, header: str, what: str) -> tuple[list[str], np.ndarray]:
+    """The comments (without ``#``) and float rows of :func:`_csv_text` output;
+    bad input raises :class:`InvalidParameter` naming the file line."""
+    width = header.count(",") + 1
+    comments, rows = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            comments.append(line.lstrip("#").strip())
+        elif line and rows is None:
+            if line != header:
+                raise InvalidParameter(f"{what} line {lineno}: expected the header {header}")
+            rows = []
+        elif line:
+            try:
+                rows.append([float(p) for p in line.split(",")])
+            except ValueError:
+                raise InvalidParameter(f"{what} line {lineno}: bad number") from None
+            if len(rows[-1]) != width:
+                raise InvalidParameter(f"{what} line {lineno}: expected {width} fields")
+    if not rows:
+        raise InvalidParameter(f"{what} needs the header {header} and at least one row")
+    return comments, np.array(rows)
+
+
 def field_to_csv(field: ScalarField) -> str:
-    """Serialize a field as ``theta,phi,value`` rows (angles in radians)."""
-    buf = io.StringIO()
-    buf.write(f"# grid_L={field.grid.L}\n")
-    buf.write("theta,phi,value\n")
-    for t, p, v in zip(field.grid.theta_nodes, field.grid.phi_nodes, field.values):
-        buf.write(f"{float(t)!r},{float(p)!r},{float(v)!r}\n")
-    return buf.getvalue()
+    """Serialize a field as ``theta,phi,value`` rows, one per node (radians)."""
+    nodes = np.column_stack((field.grid.theta_nodes, field.grid.phi_nodes, field.values))
+    return _csv_text("theta,phi,value", nodes.tolist(), head=[f"grid_L={field.grid.L}"])
 
 
 def field_from_csv(text: str, grid: SphericalGrid | None = None) -> ScalarField:
@@ -623,32 +658,14 @@ def field_from_csv(text: str, grid: SphericalGrid | None = None) -> ScalarField:
     If ``grid`` is omitted the bandwidth is taken from the ``# grid_L=``
     comment.  Node angles are checked against the grid layout.
     """
-    header_L = None
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("grid_L="):
-                header_L = int(body.split("=", 1)[1])
-            continue
-        if line.lower().startswith("theta"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InvalidParameter(f"malformed field row: {line!r}")
-        rows.append([float(x) for x in parts])
+    comments, data = _csv_rows(text, "theta,phi,value", "field CSV")
     if grid is None:
-        if header_L is None:
-            raise InvalidParameter("field CSV lacks a grid_L header and no grid was given")
-        grid = build_grid(header_L)
-    data = np.asarray(rows, dtype=float)
+        sizes = [c.split("=", 1)[1].strip() for c in comments if c.startswith("grid_L=")]
+        if not (sizes and sizes[-1].isdecimal()):
+            raise InvalidParameter("field CSV needs an integer grid_L comment or a grid")
+        grid = build_grid(int(sizes[-1]))
     if data.shape[0] != grid.n_nodes:
-        raise InvalidParameter(
-            f"field CSV has {data.shape[0]} rows, grid expects {grid.n_nodes}"
-        )
+        raise InvalidParameter(f"field CSV has {data.shape[0]} rows, grid expects {grid.n_nodes}")
     if not (np.allclose(data[:, 0], grid.theta_nodes, atol=1e-9)
             and np.allclose(data[:, 1], grid.phi_nodes, atol=1e-9)):
         raise InvalidParameter("field CSV node angles do not match the grid layout")

@@ -29,6 +29,7 @@ from .grid import (
     HarmonicCoeffs,
     ScalarField,
     SphericalGrid,
+    _csv_text,
     _harmonic_sup,
     _require_fits,
     build_grid,
@@ -358,10 +359,7 @@ class NewtonResult:
     condition_number: float
 
     def report_csv(self) -> str:
-        lines = ["iter,residual_sup,min_h,min_eig_W,step_size"]
-        for it, res, hmin, eig, step in self.rows:
-            lines.append(f"{it},{res!r},{hmin!r},{eig!r},{step!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("iter,residual_sup,min_h,min_eig_W,step_size", self.rows)
 
 
 def ma_residual(h: SupportFunction, f: DensityFunction) -> ScalarField:

@@ -353,6 +353,23 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, line", [
+    ("measure", "measure=surfce"),
+    ("experiment", "kind=bounds"),
+], ids=["misspelt-measure", "misspelt-kind"])
+def test_config_value_outside_the_flag_choices_exits_2(tmp_path, capsys, command, line):
+    obj = tmp_path / "cube.obj"
+    obj.write_text(cube_obj_text())
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"obj={obj}\n{line}\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert not out.exists()
+
+
 def test_config_boolean_false_turns_renormalization_off(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("renormalize=false\n")

@@ -769,6 +769,16 @@ def test_measure_csv_roundtrip():
     assert measure_to_csv(back) == text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("nx,ny,nz,weight\n1,0,0,x\n", "line 2: bad number"),
+    ("# comment\n\nnx,ny,nz,weight\n1,0,0\n", "line 4: expected 4 fields"),
+    ("1,0,0,0.5\n", "line 1: expected the header"),
+], ids=["bad-number", "field-count", "missing-header"])
+def test_measure_csv_rejects_malformed_text(text, message):
+    with pytest.raises(InvalidParameter, match=message):
+        measure_from_csv(text)
+
+
 _LAZY_SCIPY_SCRIPT = """
 import sys
 import numpy as np

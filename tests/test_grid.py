@@ -393,6 +393,17 @@ def test_field_csv_rejects_wrong_grid(grid):
         field_from_csv(text, grid=build_grid(8))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("theta,phi,value\n0.1,abc,1\n", "line 2: bad number"),
+    ("# grid_L=4\ntheta,phi,value\n0.1,0.2\n", "line 3: expected 3 fields"),
+    ("0.1,0.2,1\n", "line 1: expected the header"),
+    ("# grid_L=abc\ntheta,phi,value\n0.1,0.2,1\n", "integer grid_L"),
+], ids=["bad-number", "field-count", "missing-header", "bad-grid_L"])
+def test_field_csv_rejects_malformed_text(text, message):
+    with pytest.raises(InvalidParameter, match=message):
+        field_from_csv(text)
+
+
 def test_scalar_field_validation(grid):
     with pytest.raises(InvalidParameter):
         ScalarField(grid, np.ones(7))
