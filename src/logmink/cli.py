@@ -43,14 +43,7 @@ from .flow import FlowOptions, run_flow
 from .grid import _csv_text, build_grid, field_to_csv
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
-# Every config key and the type its text must parse as (see _get).
-_CONFIG_TYPES = {
-    "grid_L": int, "tol": float, "out": str, "seed": int, "config": str,
-    "f": str, "h0": str, "obj": str, "kind": str, "count": int, "eps": float,
-    "lam": float, "inits": str, "dt": float, "t_final": float,
-    "renormalize": bool, "snapshot_every": int, "write_obj": bool,
-    "measure": str,
-}
+# config-file spellings of the on/off flags' values
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -71,7 +64,12 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines and # comments ignored.
+
+    The keys are the destinations of the command-line flags; the values
+    stay text until :func:`_config_value` types them.
+    """
+    known = _flag_actions()
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -81,18 +79,10 @@ def parse_config_text(text: str) -> dict:
             raise InvalidParameter(f"config line {lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in known:
             raise InvalidParameter(f"config line {lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def normalize_config(cfg: dict) -> str:
-    """Canonical text form: sorted key=value lines."""
-    for key in cfg:
-        if key not in _CONFIG_TYPES:
-            raise InvalidParameter(f"unknown config key {key!r}")
-    return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
 
 
 def parse_density(descriptor: str, grid) -> DensityFunction:
@@ -196,56 +186,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace, actions) -> dict:
-    """Config-file values overridden by the flags, each within its flag's choices."""
+def _flag_actions() -> dict:
+    """The action of every subcommand's flags, by destination: the one
+    declaration of each config key, its type and its choices."""
+    subcommands = next(action for action in _build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action for parser in subcommands.choices.values()
+            for action in parser._actions if action.dest != "help"}
+
+
+def _config_value(action: argparse.Action, text: str):
+    """Config-file text typed as its flag types it, within the flag's choices."""
+    kind = bool if action.nargs == 0 else (action.type or str)
+    try:
+        value = _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise InvalidParameter(f"config key {action.dest} needs a value of type "
+                               f"{kind.__name__}, got {text!r}") from None
+    if action.choices and value not in action.choices:
+        raise InvalidParameter(f"config key {action.dest} must be one of "
+                               f"{', '.join(action.choices)}, got {text!r}")
+    return value
+
+
+def _merge(args: argparse.Namespace) -> dict:
+    """Config-file values, typed when the file is read, overridden by the flags."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            cfg.update(parse_config_text(handle.read()))
+            text = handle.read()
+        actions = _flag_actions()
+        cfg = {key: _config_value(actions[key], value)
+               for key, value in parse_config_text(text).items()}
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         cfg[key] = value
-    for action in actions:
-        if (action.choices and action.dest in cfg
-                and _get(cfg, action.dest) not in action.choices):
-            raise InvalidParameter(f"config key {action.dest} must be one of "
-                                   f"{', '.join(action.choices)}, got {cfg[action.dest]!r}")
     return cfg
-
-
-def _get(cfg: dict, key: str, default=None):
-    """The value of ``key`` as its ``_CONFIG_TYPES`` type, or ``default`` if unset.
-
-    Flags arrive typed; config-file text that does not parse raises
-    :class:`InvalidParameter`.
-    """
-    if key not in cfg:
-        return default
-    value = cfg[key]
-    if not isinstance(value, str):
-        return value
-    kind = _CONFIG_TYPES[key]
-    try:
-        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
-    except (KeyError, ValueError):
-        raise InvalidParameter(
-            f"config key {key} needs a value of type {kind.__name__}, got {value!r}"
-        ) from None
 
 
 def _given(cfg: dict, **params: str) -> dict:
     """Keyword arguments ``{param: value}`` for the config keys that are set,
     so that unset options keep the library's defaults."""
-    return {param: _get(cfg, key) for param, key in params.items() if key in cfg}
+    return {param: cfg[key] for param, key in params.items() if key in cfg}
 
 
 def _out_path(cfg: dict, name: str) -> str:
-    return os.path.join(_get(cfg, "out", "."), name)
+    return os.path.join(cfg.get("out", "."), name)
 
 
 def _require_density(cfg: dict, grid) -> DensityFunction:
-    descriptor = _get(cfg, "f")
+    descriptor = cfg.get("f")
     if descriptor is None:
         raise InvalidParameter("no density given; pass --f const:c, "
                                "--f harmonics:[...] or --f random:seed,eps,lam")
@@ -253,7 +244,7 @@ def _require_density(cfg: dict, grid) -> DensityFunction:
 
 
 def _optional_h0(cfg: dict, grid) -> SupportFunction | None:
-    descriptor = _get(cfg, "h0")
+    descriptor = cfg.get("h0")
     if descriptor is None:
         return None
     preset, _, arg = descriptor.partition(":")
@@ -267,7 +258,7 @@ def _optional_h0(cfg: dict, grid) -> SupportFunction | None:
 
 
 def _load_polytope(cfg: dict):
-    path = _get(cfg, "obj")
+    path = cfg.get("obj")
     if path is None:
         raise InvalidParameter("no input body; pass --obj FILE")
     with open(path, encoding="utf-8") as handle:
@@ -281,7 +272,7 @@ def cmd_solve(cfg: dict) -> int:
     result = newton_solve(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid)
     write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
     write_atomic(_out_path(cfg, "report.csv"), result.report_csv())
-    if _get(cfg, "write_obj", False):
+    if cfg.get("write_obj", False):
         write_atomic(_out_path(cfg, "body.obj"),
                      polytope_to_obj(polytope_from_support(result.h)))
     print(f"solved in {result.iterations} iterations, "
@@ -304,7 +295,7 @@ def cmd_flow(cfg: dict) -> int:
                       **_given(cfg, snapshot_every="snapshot_every"))
     write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
     write_atomic(_out_path(cfg, "trace.csv"), result.trace_csv())
-    if _get(cfg, "write_obj", False):
+    if cfg.get("write_obj", False):
         write_atomic(_out_path(cfg, "body.obj"),
                      polytope_to_obj(polytope_from_support(result.h)))
     print(f"flow stopped ({result.reason}) after {result.steps} steps, "
@@ -314,7 +305,7 @@ def cmd_flow(cfg: dict) -> int:
 
 def cmd_measure(cfg: dict) -> int:
     P = _load_polytope(cfg)
-    which = _get(cfg, "measure", "both")
+    which = cfg.get("measure", "both")
     for name, measure in (("surface", surface_area_measure), ("cone", cone_volume_measure)):
         if which in (name, "both"):
             write_atomic(_out_path(cfg, f"{name}_measure.csv"), measure_to_csv(measure(P)))
@@ -348,7 +339,7 @@ def cmd_experiment(cfg: dict) -> int:
     spec_kwargs = _given(cfg, kind="kind", count="count", seed="seed", eps="eps",
                          lam="lam", L="grid_L")
     if "inits" in cfg:
-        spec_kwargs["inits"] = tuple(s.strip() for s in _get(cfg, "inits").split(",")
+        spec_kwargs["inits"] = tuple(s.strip() for s in cfg["inits"].split(",")
                                      if s.strip())
     spec = ExperimentSpec(**spec_kwargs)
     report = run_experiment(spec, SolveOptions(**_given(cfg, tolerance="tol")))
@@ -373,10 +364,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    subcommands = next(action for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction))
     try:
-        cfg = _merge(args, subcommands.choices[args.command]._actions)
+        cfg = _merge(args)
     except (InvalidParameter, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

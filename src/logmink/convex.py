@@ -41,6 +41,7 @@ from .grid import (
     _csv_cell,
     _csv_rows,
     _csv_text,
+    _require_positive_finite,
     integrate,
     require_same_grid,
     tangential_gradient,
@@ -53,6 +54,7 @@ _ORIGIN_TOL = 1e-9         # origin-in-closure slack on support numbers
 _UNIT_TOL = 1e-10
 _FRACTION_TO_BOUNDARY = 0.99  # interior-point steps stop short of s, z = 0
 _MAX_HALVINGS = 60         # step halvings to keep M positive definite
+_ELLIPSOID_MAX_STEPS = 100  # interior-point steps before ConvergenceFailure
 _AUGMENT_ABOVE = 1e4       # z_i / s_i beyond which dz_i stays an unknown
 _BLOCK_ENTRIES = 1 << 17   # vertex x direction products per block (1-2 MB)
 _BLOCK_ROWS = 24           # whole OpenBLAS row tiles (of 8 and 12) per block
@@ -184,8 +186,8 @@ class Polytope:
             return float(out[0])
         return out
 
-    def contains_origin(self, tol: float = _ORIGIN_TOL) -> bool:
-        return bool(np.min(self._offsets) >= -tol)
+    def contains_origin(self) -> bool:
+        return bool(np.min(self._offsets) >= -_ORIGIN_TOL)
 
     def translated(self, shift) -> "Polytope":
         """The translate P + shift; facet geometry moves rigidly."""
@@ -214,7 +216,7 @@ class Polytope:
 
 
 class DiscreteMeasure:
-    """Finite nonnegative measure on the sphere: unit atoms with weights."""
+    """Finite nonnegative measure on the sphere: one or more unit atoms with weights."""
 
     def __init__(self, vectors: np.ndarray, weights: np.ndarray):
         vectors = np.asarray(vectors, dtype=float)
@@ -227,6 +229,8 @@ class DiscreteMeasure:
             raise InvalidParameter(
                 f"got {vectors.shape[0]} atoms but weight shape {weights.shape}"
             )
+        if vectors.shape[0] == 0:
+            raise InvalidParameter("a measure needs at least one atom")
         if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(weights))):
             raise InvalidParameter("measure data contains non-finite entries")
         norms = np.linalg.norm(vectors, axis=1)
@@ -281,6 +285,8 @@ class Ellipsoid:
         axes = np.asarray(axes, dtype=float)
         if center.shape != (3,) or radii.shape != (3,) or axes.shape != (3, 3):
             raise InvalidParameter("ellipsoid needs center (3,), radii (3,), axes (3, 3)")
+        if not all(np.all(np.isfinite(arr)) for arr in (center, radii, axes)):
+            raise InvalidParameter("ellipsoid data contains non-finite entries")
         if np.any(radii <= 0.0):
             raise InvalidParameter(f"radii must be positive, got {radii}")
         if np.any(np.diff(radii) < 0.0):
@@ -321,8 +327,7 @@ class Ellipsoid:
 
     def scaled(self, factor: float) -> "Ellipsoid":
         """Dilate by ``factor`` about the ellipsoid's own center."""
-        if factor <= 0.0:
-            raise InvalidParameter(f"scale factor must be positive, got {factor}")
+        _require_positive_finite("scale factor", factor)
         return Ellipsoid(self.center, self.radii * factor, self.axes)
 
     def __repr__(self) -> str:
@@ -664,8 +669,7 @@ def _interior_point_step(A: np.ndarray, shape: np.ndarray, z: np.ndarray,
     return shape + alpha * d_shape, z + alpha * dz, s + alpha * ds
 
 
-def enclosing_ellipsoid(body, tolerance: float = 1e-7,
-                        max_iterations: int = 100) -> Ellipsoid:
+def enclosing_ellipsoid(body, tolerance: float = 1e-7) -> Ellipsoid:
     """Minimum-volume enclosing ellipsoid of a polytope or point cloud.
 
     Lifts the points to q_i = (x_i, 1) and solves min -log det M subject
@@ -678,9 +682,9 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
     M_i = q_i^T X^-1 q_i is within ``tolerance`` (relative) of its optimum
     4, which puts every point within Mahalanobis distance
     sqrt(1 + 4 tolerance / 3) of the returned ellipsoid's center.
-    ``tolerance`` must be positive and finite; taking ``max_iterations``
-    interior-point steps (default 100) without meeting it, or a Newton
-    system that cannot be factored, raises :class:`ConvergenceFailure`.
+    ``tolerance`` must be positive and finite; taking 100 interior-point
+    steps without meeting it, or a Newton system that cannot be factored,
+    raises :class:`ConvergenceFailure`.
     """
     if isinstance(body, Polytope):
         pts = body.vertices
@@ -688,12 +692,7 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
         pts = _as_points(body, minimum=4)
         _require_full_rank(pts)
     m = pts.shape[0]
-    if not (0.0 < tolerance < np.inf):
-        raise InvalidParameter(
-            f"tolerance must be positive and finite, got {tolerance}"
-        )
-    if max_iterations < 1:
-        raise InvalidParameter(f"max_iterations must be >= 1, got {max_iterations}")
+    _require_positive_finite("tolerance", tolerance)
 
     # q^T X(u)^-1 q and so the weights u are affine invariant: iterate on
     # whitened points, which keeps M well scaled for any position and shape
@@ -713,11 +712,11 @@ def enclosing_ellipsoid(body, tolerance: float = 1e-7,
     slack = dim - A @ shape[_TRIU]
     iterations = 0
     while (gap := float(M.max()) - dim) > dim * tolerance:
-        if iterations >= max_iterations:
+        if iterations >= _ELLIPSOID_MAX_STEPS:
             raise ConvergenceFailure(
                 f"ellipsoid iteration did not reach tolerance {tolerance:g} in "
-                f"{max_iterations} iterations (gap {gap:.3e})",
-                residual=gap, iterations=int(max_iterations),
+                f"{_ELLIPSOID_MAX_STEPS} iterations (gap {gap:.3e})",
+                residual=gap, iterations=_ELLIPSOID_MAX_STEPS,
             )
         try:
             shape, z, slack = _interior_point_step(A, shape, z, slack)
@@ -759,9 +758,7 @@ def _point_to_polygon_boundary(point: np.ndarray, polygon: np.ndarray) -> float:
     return float(np.min(np.linalg.norm(point - proj, axis=1)))
 
 
-def blowdown_diagnostics(P: Polytope,
-                         ellipsoid_tolerance: float = 1e-7,
-                         max_iterations: int = 100) -> BlowdownDiagnostics:
+def blowdown_diagnostics(P: Polytope) -> BlowdownDiagnostics:
     """Radius ratios and origin-projection distances for degeneration tests.
 
     The enclosing ellipsoid supplies principal radii r1 <= r2 <= r3 and
@@ -770,14 +767,13 @@ def blowdown_diagnostics(P: Polytope,
     (shadow K'); the origin's projections are compared with the respective
     boundaries and both distances are normalized by r3.
 
-    ``ellipsoid_tolerance`` and ``max_iterations`` (interior-point steps)
-    are forwarded to :func:`enclosing_ellipsoid`, whose default converges
-    in about twenty steps on many-vertex approximations of smooth bodies.
+    The ellipsoid is :func:`enclosing_ellipsoid` at its defaults, which
+    converge in about twenty steps on many-vertex approximations of smooth
+    bodies.
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    E = enclosing_ellipsoid(P, tolerance=ellipsoid_tolerance,
-                            max_iterations=max_iterations)
+    E = enclosing_ellipsoid(P)
     r1, r2, r3 = (float(r) for r in E.radii)
     axis_long = E.axes[2]
     t = P.vertices @ axis_long
@@ -820,10 +816,7 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
     """
     from scipy.spatial import HalfspaceIntersection, QhullError
 
-    if not (0.0 < radius < np.inf):
-        raise InvalidParameter(
-            f"offset radius must be positive and finite, got {radius}"
-        )
+    _require_positive_finite("offset radius", radius)
     if n_directions < 4:
         raise InvalidParameter(f"need at least 4 directions, got {n_directions}")
     dirs = np.vstack((P.facet_normals(), _spiral_directions(int(n_directions))))

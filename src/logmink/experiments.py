@@ -59,14 +59,9 @@ class ExperimentSpec:
             )
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
-        if not (0.0 <= self.eps < np.inf):
-            raise InvalidParameter(f"eps must be finite and >= 0, got {self.eps}")
-        if not (1.0 < self.lam < np.inf):
-            raise InvalidParameter(f"lam must be finite and > 1, got {self.lam}")
+        _require_density_parameters(self.seed, self.eps, self.lam)
         if not isinstance(self.L, int) or isinstance(self.L, bool):
             raise InvalidParameter(f"bandwidth L must be an integer, got {self.L!r}")
-        if self.seed < 0:
-            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "inits", tuple(self.inits))
         if not self.inits:
             raise InvalidParameter("inits must name at least one strategy")
@@ -113,27 +108,32 @@ class ExperimentReport:
                 f"n_samples={len(self.records)}, aggregates={self.aggregates})")
 
 
-def gen_density(seed: int, eps: float, lam: float, L: int = 16,
-                grid: SphericalGrid | None = None) -> DensityFunction:
-    """Seeded random density f = 1 + eps * g / sup|g|, degrees 1..4.
-
-    g is a harmonic combination with independent standard normal
-    coefficients drawn from ``default_rng(seed)``, normalized by its
-    sup over the grid nodes so that sup|f - 1| = eps there exactly.  If
-    the strict bounds 1/lam < f < lam fail, the amplitude is shrunk by
-    0.8 and the check retried; after 100 retries
-    :class:`GenerationFailure` is raised.
-    """
+def _require_density_parameters(seed: int, eps: float, lam: float) -> None:
+    """The parameter rule of :func:`gen_density`, which every spec also meets."""
     if not (0.0 <= eps < np.inf):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
     if not (1.0 < lam < np.inf):
         raise InvalidParameter(f"lam must be finite and > 1, got {lam}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    if grid is None:
-        grid = build_grid(L)
+
+
+def gen_density(seed: int, eps: float, lam: float,
+                grid: SphericalGrid | None = None) -> DensityFunction:
+    """Seeded random density f = 1 + eps * g / sup|g|, degrees 1..4.
+
+    g is a harmonic combination with independent standard normal
+    coefficients drawn from ``default_rng(seed)``, normalized by its
+    sup over the nodes of ``grid`` (default the bandwidth-16 grid) so that
+    sup|f - 1| = eps there exactly.  If the strict bounds 1/lam < f < lam
+    fail, the amplitude is shrunk by 0.8 and the check retried; after 100
+    retries :class:`GenerationFailure` is raised.
+    """
+    _require_density_parameters(seed, eps, lam)
     if eps == 0.0:
         return DensityFunction.constant(1.0)
+    if grid is None:
+        grid = build_grid()
 
     shape = np.zeros(grid.n_coeffs)
     shape[1:25] = np.random.default_rng(seed).standard_normal(24)  # l = 1..4

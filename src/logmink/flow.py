@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid, _csv_text
+from .grid import SphericalGrid, _csv_text, _require_positive_finite
 from .solver import (
     DensityFunction,
     SupportFunction,
@@ -72,17 +72,12 @@ from .solver import (
 # Step control: a run takes at most _MAX_STEPS steps, a rejected step is
 # halved at most _MAX_HALVINGS times in a row, and run_flow multiplies dt by
 # _DT_GROWTH after every _GROWTH_EVERY consecutively accepted steps, up to
-# _DT_MAX unless FlowOptions.dt_max is set.
+# FlowOptions.dt_max (default _DT_MAX).
 _MAX_STEPS = 100000
 _MAX_HALVINGS = 40
 _DT_MAX = 0.2
 _DT_GROWTH = 1.5
 _GROWTH_EVERY = 20
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    if not (0.0 < value < np.inf):
-        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +112,14 @@ class FlowOptions:
     dt_init: float = 1e-3
     stationarity_tol: float = 1e-9
     renormalize: bool = True
-    dt_max: float | None = None
+    dt_max: float = _DT_MAX
     t_final: float | None = None
     residual_check: float | None = 1e-7
 
     def __post_init__(self):
-        _require_positive_finite("dt_init", self.dt_init)
-        _require_positive_finite("stationarity_tol", self.stationarity_tol)
-        for name in ("dt_max", "t_final", "residual_check"):
+        for name in ("dt_init", "stationarity_tol", "dt_max"):
+            _require_positive_finite(name, getattr(self, name))
+        for name in ("t_final", "residual_check"):
             value = getattr(self, name)
             if value is not None:
                 _require_positive_finite(name, value)
@@ -200,8 +195,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
 
     fvals = f.values_on(grid)
     f_total = float(grid.weights @ fvals)
-    dt_cap = opts.dt_max if opts.dt_max is not None else _DT_MAX
-    dt = min(opts.dt_init, dt_cap)
+    dt = min(opts.dt_init, opts.dt_max)
     vol = v_target = _mass(h) / 3.0
     t = 0.0
     rows = []
@@ -272,8 +266,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                               c_est=c_est, reason="stationary", rows=rows)
 
         accepted_in_a_row += 1
-        if accepted_in_a_row >= _GROWTH_EVERY and dt < dt_cap:
-            dt = min(dt * _DT_GROWTH, dt_cap)
+        if accepted_in_a_row >= _GROWTH_EVERY and dt < opts.dt_max:
+            dt = min(dt * _DT_GROWTH, opts.dt_max)
             accepted_in_a_row = 0
 
     raise ConvergenceFailure(

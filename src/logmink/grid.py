@@ -101,6 +101,13 @@ def _require_fits(L: int, target: int) -> None:
         raise GridMismatch(f"coefficients of bandwidth {L} exceed bandwidth {target}")
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    """The one rule for scalar options that must be positive and finite."""
+    # written as not (0 < value < inf) so that NaN fails too
+    if not (0.0 < value < np.inf):
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+
+
 def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of degree l and signed order m indexed by flat coefficient."""
     ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)

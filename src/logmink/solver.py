@@ -32,6 +32,7 @@ from .grid import (
     _csv_text,
     _harmonic_sup,
     _require_fits,
+    _require_positive_finite,
     build_grid,
     coeff_count,
     lm_index,
@@ -50,9 +51,10 @@ __all__ = [
     "holder_proxy_seminorm",
 ]
 
-# Line-search constants of :func:`newton_solve`: the step shrink factor, the
-# smallest step tried before giving up, and the floor that every accepted
-# iterate must keep ``min h`` above.
+# Constants of :func:`newton_solve`: the iteration cap, and for the line
+# search the step shrink factor, the smallest step tried before giving up,
+# and the floor that every accepted iterate must keep ``min h`` above.
+_MAX_ITERATIONS = 50
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 2.0 ** -20
 _POSITIVITY_FLOOR = 1e-8
@@ -137,10 +139,7 @@ class SupportFunction:
         arrays, because the products can underflow or overflow.
         """
         factor = float(factor)
-        if not (0.0 < factor < np.inf):
-            raise InvalidParameter(
-                f"scale factor must be positive and finite, got {factor}"
-            )
+        _require_positive_finite("scale factor", factor)
         values = factor * self.values
         min_eig = factor * self.min_eig_w
         _require_positive(values)
@@ -173,10 +172,7 @@ class SupportFunction:
     @classmethod
     def constant(cls, grid: SphericalGrid, value: float) -> "SupportFunction":
         """The sphere of radius ``value`` about the origin."""
-        if not (0.0 < value < np.inf):
-            raise InvalidParameter(
-                f"constant support value must be positive and finite, got {value}"
-            )
+        _require_positive_finite("constant support value", value)
         c = np.zeros(grid.n_coeffs)
         c[0] = value * np.sqrt(4.0 * np.pi)
         return cls(grid, c)
@@ -312,8 +308,9 @@ def holder_proxy_seminorm(field: ScalarField, alpha: float = 0.5) -> float:
 class SolveOptions:
     """Knobs of the damped Newton iteration.
 
-    The line search halves the step down to ``2**-20`` and requires
-    ``min h > 1e-8`` of every accepted iterate; those rules are fixed.
+    Newton takes at most 50 iterations; the line search halves the step
+    down to ``2**-20`` and requires ``min h > 1e-8`` of every accepted
+    iterate; those rules are fixed.
 
     Attributes
     ----------
@@ -322,20 +319,12 @@ class SolveOptions:
         ``sup |h det W - f| <= tolerance * mean f``.  Relative to the mean
         density, so the test is invariant under the scaling f -> s^3 f,
         h -> s h; for mean-1 densities it is the absolute sup-norm bound.
-    max_iterations : int
-        Newton iteration cap.
     """
 
     tolerance: float = 1e-10
-    max_iterations: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.tolerance < np.inf):
-            raise InvalidParameter(
-                f"tolerance must be positive and finite, got {self.tolerance}"
-            )
-        if self.max_iterations < 1:
-            raise InvalidParameter("max_iterations must be at least 1")
+        _require_positive_finite("tolerance", self.tolerance)
 
 
 @dataclass
@@ -491,7 +480,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     rows = [(0, res_sup, float(h.values.min()), float(h.min_eig_w.min()), 0.0)]
     matrix = None
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         if res_sup <= threshold:
             break
         matrix = _jacobian_matrix(h)
@@ -541,8 +530,8 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     if not converged:
         raise ConvergenceFailure(
             f"Newton did not reach tolerance {opts.tolerance:.3e} relative to mean f in "
-            f"{opts.max_iterations} iterations (residual {res_sup:.3e})",
-            residual=res_sup, iterations=opts.max_iterations,
+            f"{_MAX_ITERATIONS} iterations (residual {res_sup:.3e})",
+            residual=res_sup, iterations=_MAX_ITERATIONS,
         )
     if matrix is None:
         matrix = _jacobian_matrix(h)

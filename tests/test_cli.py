@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from logmink import cli
-from logmink.cli import main, normalize_config, parse_config_text, write_atomic
+from logmink.cli import main, parse_config_text, write_atomic
 from logmink.convex import convex_hull_3d, measure_from_csv, polytope_to_obj
 from logmink.errors import InvalidParameter
 from logmink.grid import field_from_csv
@@ -28,10 +28,8 @@ def cube_obj_text(half=(1.0, 1.0, 1.0)):
 
 def test_config_text_roundtrip():
     cfg = {"grid_L": "12", "f": "const:2.0", "tol": "1e-8"}
-    text = normalize_config(cfg)
+    text = "".join(f"{key}={value}\n" for key, value in cfg.items())
     assert parse_config_text(text) == cfg
-    # canonical form is idempotent
-    assert normalize_config(parse_config_text(text)) == text
 
 
 def test_config_rejects_unknown_keys():
@@ -39,8 +37,6 @@ def test_config_rejects_unknown_keys():
         parse_config_text("volume=8\n")
     with pytest.raises(InvalidParameter):
         parse_config_text("grid_L 12\n")
-    with pytest.raises(InvalidParameter):
-        normalize_config({"nonsense": "1"})
 
 
 def test_config_comments_and_blanks():
@@ -307,13 +303,28 @@ def test_config_keys_match_the_cli_flags():
     # every flag of every subcommand can be set from a --config file
     subparsers = next(action for action in cli._build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    actions = [action for parser in subparsers.choices.values()
-               for action in parser._actions if action.dest != "help"]
-    assert set(cli._CONFIG_TYPES) == {action.dest for action in actions}
-    # and a config value parses as the type its flag parses as
-    for action in actions:
-        flag_type = bool if action.nargs == 0 else (action.type or str)
-        assert cli._CONFIG_TYPES[action.dest] is flag_type, action.dest
+    dests = {action.dest for parser in subparsers.choices.values()
+             for action in parser._actions if action.dest != "help"}
+    text = "".join(f"{dest}=x\n" for dest in sorted(dests))
+    assert set(parse_config_text(text)) == dests
+
+
+@pytest.mark.parametrize("command, flag, line", [
+    ("solve", ["--grid-L", "12"], "grid_L=12"),
+    ("solve", ["--tol", "1e-8"], "tol=1e-8"),
+    ("solve", ["--f", "const:2.0"], "f=const:2.0"),
+    ("solve", ["--write-obj"], "write_obj=yes"),
+    ("flow", ["--no-renormalize"], "renormalize=off"),
+], ids=["int", "float", "str", "store-true", "store-false"])
+def test_config_line_and_flag_merge_to_the_same_value(tmp_path, command, flag, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    parser = cli._build_parser()
+    from_file = cli._merge(parser.parse_args([command, "--config", str(cfg)]))
+    from_flag = cli._merge(parser.parse_args([command, *flag]))
+    key = line.split("=")[0]
+    assert from_file == from_flag == {key: from_flag[key]}
+    assert type(from_file[key]) is type(from_flag[key])
 
 
 def test_john_and_diag_on_a_solved_body(tmp_path, capsys):
@@ -340,7 +351,10 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     (["solve", "--f", "const:1.0"], "grid_L=abc"),
     (["experiment", "--kind", "bound"], "count=2.5"),
     (["flow", "--f", "const:1.0"], "renormalize=flase"),
-], ids=["non-integer-bandwidth", "fractional-count", "misspelt-boolean"])
+    # typed when the file is read, even for a key this command does not use
+    (["solve", "--f", "const:1.0"], "count=2.5"),
+], ids=["non-integer-bandwidth", "fractional-count", "misspelt-boolean",
+        "key-of-another-command"])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, argv, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")

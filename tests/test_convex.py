@@ -408,6 +408,8 @@ def test_measure_validation():
         DiscreteMeasure(np.array([[2.0, 0.0, 0.0]]), np.array([1.0]))
     with pytest.raises(InvalidParameter):
         DiscreteMeasure(np.array([[1.0, 0.0, 0.0]]), np.array([-0.5]))
+    with pytest.raises(InvalidParameter, match="at least one atom"):
+        DiscreteMeasure(np.zeros((0, 3)), np.zeros(0))
     m = DiscreteMeasure(np.eye(3), np.array([1.0, 2.0, 3.0]))
     assert m.integrate(lambda u: u[:, 0]) == 1.0
     with pytest.raises(InvalidParameter):
@@ -556,8 +558,14 @@ def test_ellipsoid_validation():
     E = Ellipsoid(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.eye(3))
     assert abs(E.volume - 8.0 * np.pi) < 1e-12
     assert abs(E.support([0.0, 0.0, 1.0]) - 3.0) < 1e-12
-    with pytest.raises(InvalidParameter):
-        E.scaled(0.0)
+    for factor in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            E.scaled(factor)
+    for center, radii, axes in ((np.full(3, np.nan), E.radii, E.axes),
+                                (E.center, np.array([1.0, 2.0, np.inf]), E.axes),
+                                (E.center, E.radii, np.where(np.eye(3), np.nan, 0.0))):
+        with pytest.raises(InvalidParameter, match="non-finite"):
+            Ellipsoid(center, radii, axes)
 
 
 def test_ellipsoid_tolerance_validation():
@@ -584,21 +592,23 @@ def test_ellipsoid_certificate_on_random_clouds():
         assert np.max(E.mahalanobis(P.vertices)) <= 1.0 + 4.0 * tol / 3.0 + 1e-12
 
 
-def test_ellipsoid_iteration_cap(newton_boundaries):
+def test_ellipsoid_iteration_cap(newton_boundaries, monkeypatch):
     P = convex_hull_3d(newton_boundaries[1])
     for cap in (1, 5):
+        monkeypatch.setattr("logmink.convex._ELLIPSOID_MAX_STEPS", cap)
         with pytest.raises(ConvergenceFailure) as err:
-            enclosing_ellipsoid(P, max_iterations=cap)
+            enclosing_ellipsoid(P)
         assert err.value.iterations == cap
 
 
-def test_ellipsoid_default_needs_few_interior_point_steps(newton_boundaries):
+def test_ellipsoid_default_needs_few_interior_point_steps(newton_boundaries, monkeypatch):
     # structural guard: the interior point reaches the 1e-7 default on
     # 578-vertex bodies in about twenty Newton steps, not thousands
     tol = 1e-7
+    monkeypatch.setattr("logmink.convex._ELLIPSOID_MAX_STEPS", 30)
     for points in newton_boundaries:
         P = convex_hull_3d(points)
-        E = enclosing_ellipsoid(P, tolerance=tol, max_iterations=30)
+        E = enclosing_ellipsoid(P, tolerance=tol)
         assert np.max(E.mahalanobis(P.vertices)) <= 1.0 + 4.0 * tol / 3.0 + 1e-12
 
 
@@ -656,8 +666,6 @@ def test_convex_parameters_must_be_positive_and_finite(bad):
     with pytest.raises(InvalidParameter):
         enclosing_ellipsoid(P, tolerance=bad)
     with pytest.raises(InvalidParameter):
-        blowdown_diagnostics(P, ellipsoid_tolerance=bad)
-    with pytest.raises(InvalidParameter):
         ball_offset_outer(P, bad)
 
 
@@ -669,7 +677,7 @@ def test_blowdown_sphere_cloud():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((200, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    diag = blowdown_diagnostics(convex_hull_3d(pts), ellipsoid_tolerance=1e-5)
+    diag = blowdown_diagnostics(convex_hull_3d(pts))
     assert abs(diag.ratio_32 - 1.0) < 0.02
     assert abs(diag.ratio_21 - 1.0) < 0.02
     # origin sits deep inside, so both distance ratios are order one
