@@ -326,9 +326,14 @@ class Ellipsoid:
         return bool(np.all(self.mahalanobis(points) <= 1.0 + slack))
 
     def scaled(self, factor: float) -> "Ellipsoid":
-        """Dilate by ``factor`` about the ellipsoid's own center."""
+        """Dilate by ``factor`` about the ellipsoid's own center.
+
+        Radii that overflow to inf fail the constructor's finiteness check.
+        """
         _require_positive_finite("scale factor", factor)
-        return Ellipsoid(self.center, self.radii * factor, self.axes)
+        with np.errstate(over="ignore"):
+            radii = self.radii * factor
+        return Ellipsoid(self.center, radii, self.axes)
 
     def __repr__(self) -> str:
         r = ", ".join(f"{x:.4g}" for x in self.radii)

@@ -11,10 +11,11 @@ the discrete convexity certificate, and ``det W`` is the reciprocal Gauss
 curvature at the boundary point with outward normal at the node.
 
 The Newton iteration works on harmonic coefficients: each step solves the
-Galerkin projection of the linearized equation, a dense square system with
-one row per coefficient, then backtracks along the step until the iterate
-keeps ``h`` positive, keeps ``W`` positive definite, and decreases the
-residual sup-norm.
+Galerkin projection of the linearized equation, one row per coefficient,
+matrix-free by GMRES on the O(L**3) spectral transforms, then backtracks
+along the step until the iterate keeps ``h`` positive, keeps ``W`` positive
+definite, and decreases the residual sup-norm.  The dense Galerkin matrix is
+assembled once per solve, only for the reported condition number.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ _MAX_ITERATIONS = 50
 _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 2.0 ** -20
 _POSITIVITY_FLOOR = 1e-8
+# GMRES stops a Newton step once its residual is below this fraction of the
+# right-hand side's 2-norm.
+_KRYLOV_RTOL = 1e-13
 
 
 def _curvature_data(grid: SphericalGrid, values: np.ndarray):
@@ -140,8 +144,9 @@ class SupportFunction:
         """
         factor = float(factor)
         _require_positive_finite("scale factor", factor)
-        values = factor * self.values
-        min_eig = factor * self.min_eig_w
+        with np.errstate(over="ignore"):  # an inf value fails _require_positive
+            values = factor * self.values
+            min_eig = factor * self.min_eig_w
         _require_positive(values)
         _require_positive_definite(min_eig)
         out = object.__new__(type(self))
@@ -413,9 +418,57 @@ def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
     return h.grid._galerkin_matrix(*_linearization_fields(h))
 
 
-def _solve_newton_system(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The Newton step: solve the Galerkin system ``matrix @ delta = rhs``."""
-    return np.linalg.solve(matrix, rhs)
+def _solve_newton_system(h: SupportFunction, rhs: np.ndarray) -> np.ndarray:
+    """The Newton step: solve the Galerkin system ``J(h) delta = rhs`` by GMRES.
+
+    ``J(h) d`` is applied matrix-free as the projection of
+    :func:`linearized_operator` on the synthesis of ``d``.  The right
+    preconditioner ``(1 + Lap/3)^-1`` inverts the linearization
+    ``r**2 (Lap + 3)`` at a round sphere up to a scalar factor, which leaves
+    the GMRES iterates unchanged.  Givens rotations keep the projected
+    least-squares problem triangular; there is no restart, so at most
+    ``len(rhs)`` iterations reach the exact solution.  A zero pivot of that
+    triangle raises :class:`numpy.linalg.LinAlgError`.
+    """
+    grid = h.grid
+
+    def precondition(v):
+        return grid._damped(v, -1.0 / 3.0)
+
+    def apply(v):
+        phi = ScalarField(grid, grid.synthesize_coeffs(precondition(v)))
+        return grid.analyze_values(linearized_operator(h, phi).values)
+
+    beta = float(np.linalg.norm(rhs))
+    if beta == 0.0:
+        return np.zeros_like(rhs)
+    basis = [rhs / beta]
+    columns, rotations, g = [], [], [beta]
+    while len(columns) < rhs.size:
+        w = apply(basis[-1])
+        col = []
+        for v in basis:  # modified Gram-Schmidt
+            col.append(float(v @ w))
+            w = w - col[-1] * v
+        col.append(float(np.linalg.norm(w)))
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = float(np.hypot(col[-2], col[-1]))
+        c, s = (col[-2] / rho, col[-1] / rho) if rho > 0.0 else (1.0, 0.0)
+        rotations.append((c, s))
+        g.append(-s * g[-1])
+        g[-2] *= c
+        col[-2] = rho
+        columns.append(col[:-1])
+        if abs(g[-1]) <= _KRYLOV_RTOL * beta:  # also when col[-1] == 0, as s == 0
+            break
+        basis.append(w / col[-1])
+    k = len(columns)
+    triangle = np.zeros((k, k))
+    for j, col in enumerate(columns):
+        triangle[:j + 1, j] = col
+    y = np.linalg.solve(triangle, g[:k])
+    return precondition(np.column_stack(basis[:k]) @ y)
 
 
 def _condition_number(matrix: np.ndarray) -> float:
@@ -445,6 +498,10 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
                  grid: SphericalGrid | None = None) -> NewtonResult:
     """Solve ``h det(W) = f`` by damped Newton iteration.
 
+    Each step solves the Galerkin linearization matrix-free by preconditioned
+    GMRES (:func:`_solve_newton_system`); the dense Galerkin matrix is
+    assembled once, after convergence, for ``condition_number``.
+
     Parameters
     ----------
     f : DensityFunction
@@ -465,8 +522,9 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     Raises
     ------
     ConvergenceFailure
-        If the iteration cap is hit or backtracking cannot find an
-        admissible decreasing step; carries the last residual.
+        If the iteration cap is hit, a linearized system is singular or
+        backtracking cannot find an admissible decreasing step; carries the
+        last residual.
     InvalidParameter
         If ``h0`` is omitted and the mean of ``f`` is not positive.
     """
@@ -478,15 +536,15 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     residual = h.values * h.det_w - fv
     res_sup = float(np.max(np.abs(residual)))
     rows = [(0, res_sup, float(h.values.min()), float(h.min_eig_w.min()), 0.0)]
-    matrix = None
+    prev = h  # the iterate the last step was solved at
 
     for it in range(1, _MAX_ITERATIONS + 1):
         if res_sup <= threshold:
             break
-        matrix = _jacobian_matrix(h)
+        prev = h
         rhs = -work_grid.analyze_values(residual)
         try:
-            delta = _solve_newton_system(matrix, rhs)
+            delta = _solve_newton_system(h, rhs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"linearized system is singular at iteration {it}: {exc}",
@@ -533,9 +591,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             f"{_MAX_ITERATIONS} iterations (residual {res_sup:.3e})",
             residual=res_sup, iterations=_MAX_ITERATIONS,
         )
-    if matrix is None:
-        matrix = _jacobian_matrix(h)
-    condition = _condition_number(matrix)
+    condition = _condition_number(_jacobian_matrix(prev))
     return NewtonResult(
         h=h,
         converged=True,

@@ -561,6 +561,9 @@ def test_ellipsoid_validation():
     for factor in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidParameter):
             E.scaled(factor)
+    # radii that overflow to inf fail the finiteness check, with no warning
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        E.scaled(1e308)
     for center, radii, axes in ((np.full(3, np.nan), E.radii, E.axes),
                                 (E.center, np.array([1.0, 2.0, np.inf]), E.axes),
                                 (E.center, E.radii, np.where(np.eye(3), np.nan, 0.0))):
@@ -788,11 +791,15 @@ def test_measure_csv_rejects_malformed_text(text, message):
 
 
 _LAZY_SCIPY_SCRIPT = """
-import sys
+import contextlib, io, sys, tempfile
 import numpy as np
 import logmink, logmink.cli
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not scipy_modules(), scipy_modules()
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    assert logmink.cli.main(["solve", "--f", "random:3,0.05,2", "--out", out]) == 0
+assert not scipy_modules(), scipy_modules()
 cube = logmink.convex_hull_3d([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                                for z in (-1, 1)])
 assert cube.n_facets == 6 and abs(logmink.volume(cube) - 8.0) < 1e-12

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink import solver
 from logmink.errors import ConvergenceFailure, ConvexityError, GridMismatch, InvalidParameter
-from logmink.experiments import gen_density
+from logmink.experiments import gen_density, solve_with_inits
 from logmink.flow import run_flow
 from logmink.grid import (
     HarmonicCoeffs,
     ScalarField,
+    SphericalGrid,
     analyze,
     build_grid,
     coeff_count,
@@ -27,6 +29,7 @@ from logmink.solver import (
     linearized_operator,
     _aliasing_floor_note,
     _jacobian_matrix,
+    _solve_newton_system,
     ma_residual,
     newton_solve,
 )
@@ -138,7 +141,7 @@ def test_scaled_rejects_bad_factors(grid):
     # products that underflow to 0 or overflow to inf fail the certificate
     with pytest.raises(ConvexityError):
         SupportFunction.constant(grid, 1e-5).scaled(1e-320)
-    with np.errstate(over="ignore"), pytest.raises(ConvexityError):
+    with pytest.raises(ConvexityError):
         SupportFunction.constant(grid, 10.0).scaled(1e308)
 
 
@@ -357,6 +360,48 @@ def test_jacobian_matches_dense_product_and_linearization(L, kind):
         assert np.max(np.abs(jd - lin.values)) <= 1e-12 * np.max(np.abs(jd))
 
 
+def _dense_newton_step(h, rhs):
+    """The Newton step by LU of the assembled Galerkin matrix: the oracle."""
+    return np.linalg.solve(_jacobian_matrix(h), rhs)
+
+
+@pytest.mark.parametrize("L", [8, 16])
+@pytest.mark.parametrize("kind", ["ball", "newton"])
+def test_krylov_step_matches_dense_solve(L, kind):
+    grid = build_grid(L)
+    h = jacobian_test_body(kind, grid)
+    f = gen_density(5, 0.3, 2.0, grid=grid)
+    newton_rhs = -grid.analyze_values(ma_residual(h, f).values)
+    random_rhs = np.random.default_rng(L).standard_normal(grid.n_coeffs)
+    for rhs in (newton_rhs, random_rhs):
+        step = _solve_newton_system(h, rhs)
+        dense = _dense_newton_step(h, rhs)
+        assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_krylov_preconditioner_inverts_the_round_sphere(L):
+    # at h = r the linearization is r^2 (Lap + 3) = 3 r^2 (1 + Lap/3), so the
+    # right-preconditioned Jacobian is the scalar 3 r^2; the assembled
+    # matrix carries rounding relative to its largest entry, r^2 L (L + 1)
+    grid = build_grid(L)
+    r = 1.7
+    jac = _jacobian_matrix(SupportFunction.constant(grid, r))
+    d = np.random.default_rng(L).standard_normal(grid.n_coeffs)
+    product = jac @ grid._damped(d, -1.0 / 3.0)
+    scale = np.max(np.abs(jac)) * np.max(np.abs(d))
+    assert np.max(np.abs(product - 3.0 * r * r * d)) <= 1e-13 * scale
+
+
+def test_singular_krylov_step_is_a_convergence_failure(grid, monkeypatch):
+    # a zero operator leaves a zero pivot in the projected triangle
+    monkeypatch.setattr(solver, "linearized_operator",
+                        lambda h, phi: ScalarField(h.grid, np.zeros(h.grid.n_nodes)))
+    h0 = SupportFunction.constant(grid, 1.3)
+    with pytest.raises(ConvergenceFailure, match="singular at iteration 1"):
+        newton_solve(DensityFunction.constant(1.0), h0=h0)
+
+
 # ---------------------------------------------------------------------------
 # Newton solves
 
@@ -402,6 +447,55 @@ def test_newton_condition_number_is_one_norm():
     jac = _jacobian_matrix(h0)
     assert result.condition_number == np.linalg.cond(jac, 1)
     assert abs(result.condition_number / np.linalg.cond(jac) - 1.0) > 1e-3
+
+
+def test_newton_krylov_steps_match_dense_lu(monkeypatch):
+    # Same converged solves, iteration counts and solutions as the dense LU
+    # step.  A solve that fails at the aliasing floor fails with both, but
+    # its failing iteration may differ: there the Galerkin residual is
+    # rounding noise, and the line search accepts any nodal decrease.
+    opts = SolveOptions(tolerance=1e-6)
+    converged = floored = 0
+    for L in (16, 24):
+        grid = build_grid(L)
+        for seed in range(4):
+            for eps, lam in ((0.3, 2.0), (0.6, 4.0)):
+                f = gen_density(seed, eps, lam, grid=grid)
+                runs = []
+                for step in (_solve_newton_system, _dense_newton_step):
+                    monkeypatch.setattr(solver, "_solve_newton_system", step)
+                    runs.append(solve_with_inits(f, ("const:0.5", "perturb"), grid,
+                                                 seed, opts))
+                (krylov, krylov_failed), (dense, dense_failed) = runs
+                assert [s for s, _ in krylov] == [s for s, _ in dense]
+                for (_, a), (_, b) in zip(krylov, dense):
+                    assert a.iterations == b.iterations
+                    assert np.max(np.abs(a.h.values - b.h.values)) <= 1e-12
+                assert [s for s, _ in krylov_failed] == [s for s, _ in dense_failed]
+                for (_, a), (_, b) in zip(krylov_failed, dense_failed):
+                    assert "aliasing floor" in a and "aliasing floor" in b
+                converged += len(krylov)
+                floored += len(krylov_failed)
+    assert converged >= 24 and floored >= 1
+
+
+def test_newton_assembles_one_galerkin_matrix_per_solve(grid, monkeypatch):
+    calls = []
+    assemble = SphericalGrid._galerkin_matrix
+
+    def counted(self, *fields):
+        calls.append(self.L)
+        return assemble(self, *fields)
+
+    monkeypatch.setattr(SphericalGrid, "_galerkin_matrix", counted)
+    f = gen_density(3, 0.3, 2.0, grid=grid)
+    for h0 in (None, SupportFunction.constant(grid, 0.7)):
+        calls.clear()
+        result = newton_solve(f, h0=h0, grid=grid, opts=SolveOptions(tolerance=1e-6))
+        assert result.iterations >= 3 and calls == [grid.L]
+    calls.clear()
+    assert newton_solve(DensityFunction.constant(8.0), grid=grid).iterations == 0
+    assert calls == [grid.L]
 
 
 def test_newton_translated_ball(grid):
