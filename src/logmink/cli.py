@@ -9,11 +9,22 @@ john         minimum-volume enclosing ellipsoid of a polytope
 diag         blow-down diagnostics of a polytope
 experiment   run a seeded suite (uniqueness | bound | diagnostics)
 
-Densities are given with ``--f`` as one of the presets ``const:c``,
-``harmonics:[(l,m,amp),...]`` or ``random:seed,eps,lambda``.  A flat
-``key=value`` config file can seed any flag; explicit flags win.  Exit
-codes: 0 success, 1 computation failure (non-convergence, invalid body),
-2 config or usage error.
+Each flag is declared once, in one option group, and a command takes
+only the groups it reads:
+
+--out --config              every command
+--grid-L --tol              solve, flow, experiment
+--f --h0 --write-obj        solve, flow
+--obj                       measure, john, diag
+--seed                      experiment
+
+plus each command's own flags.  Densities are given with ``--f`` as one of
+the presets ``const:c``, ``harmonics:[(l,m,amp),...]`` or
+``random:seed,eps,lambda``.  A flat ``key=value`` config file can seed any
+flag of any command, typed by that flag's declaration; a command ignores
+the keys it does not read, and explicit flags win.  Exit codes: 0 success,
+1 computation failure (non-convergence, invalid body), 2 config or usage
+error, a flag the command does not take included.
 
 All output files are written atomically (temp file then rename), so an
 interrupted run never leaves a truncated artifact.
@@ -120,18 +131,37 @@ def parse_density(descriptor: str, grid) -> DensityFunction:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--grid-L", dest="grid_L", type=int, default=None,
-                        help="spherical grid bandwidth (default 16)")
-    shared.add_argument("--tol", type=float, default=None,
-                        help="solver residual tolerance relative to mean f / "
-                             "flow stationarity tolerance")
-    shared.add_argument("--out", default=None,
-                        help="output directory (default current directory)")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="base seed for seeded commands")
-    shared.add_argument("--config", default=None,
-                        help="key=value config file; explicit flags override it")
+    # Each option group is one parent parser, so every subcommand that takes
+    # the group shares its argparse.Action objects: one declaration per key.
+    def group(title: str) -> tuple[argparse.ArgumentParser, argparse._ArgumentGroup]:
+        parent = argparse.ArgumentParser(add_help=False)
+        return parent, parent.add_argument_group(title)
+
+    io, g = group("input and output")
+    g.add_argument("--out", default=None,
+                   help="output directory (default current directory)")
+    g.add_argument("--config", default=None,
+                   help="key=value config file; explicit flags override it")
+
+    numerics, g = group("numerics")
+    g.add_argument("--grid-L", dest="grid_L", type=int, default=None,
+                   help="spherical grid bandwidth (default 16)")
+    g.add_argument("--tol", type=float, default=None,
+                   help="solver residual tolerance relative to mean f / "
+                        "flow stationarity tolerance")
+
+    density, g = group("equation")
+    g.add_argument("--f", default=None, help="density preset (const:/harmonics:/random:)")
+    g.add_argument("--h0", default=None, help="initial guess preset const:c")
+    g.add_argument("--write-obj", dest="write_obj", action="store_true", default=None,
+                   help="also write the final body as body.obj")
+
+    polytope, g = group("polytope")
+    g.add_argument("--obj", default=None, help="input OBJ file")
+
+    seeded, g = group("seeding")
+    g.add_argument("--seed", type=int, default=None,
+                   help="base seed of the suite's samples")
 
     parser = argparse.ArgumentParser(
         prog="logmink",
@@ -139,17 +169,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("solve", parents=[shared],
-                       help="Newton-solve h det(W) = f")
-    p.add_argument("--f", default=None, help="density preset (const:/harmonics:/random:)")
-    p.add_argument("--h0", default=None, help="initial guess preset const:c")
-    p.add_argument("--write-obj", dest="write_obj", action="store_true", default=None,
-                   help="also write the solution body as body.obj")
+    sub.add_parser("solve", parents=[io, numerics, density],
+                   help="Newton-solve h det(W) = f")
 
-    p = sub.add_parser("flow", parents=[shared],
+    p = sub.add_parser("flow", parents=[io, numerics, density],
                        help="normalized Gauss-curvature flow")
-    p.add_argument("--f", default=None, help="density preset")
-    p.add_argument("--h0", default=None, help="initial guess preset const:c")
     p.add_argument("--dt", type=float, default=None, help="initial time step")
     p.add_argument("--t-final", dest="t_final", type=float, default=None,
                    help="stop at this time instead of at stationarity")
@@ -157,24 +181,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=None, help="run the unnormalized (shrinking) flow")
     p.add_argument("--snapshot-every", dest="snapshot_every", type=int, default=None,
                    help="write body_NNNNNN.obj every k accepted steps")
-    p.add_argument("--write-obj", dest="write_obj", action="store_true", default=None,
-                   help="also write the final body as body.obj")
 
-    p = sub.add_parser("measure", parents=[shared],
+    p = sub.add_parser("measure", parents=[io, polytope],
                        help="surface-area / cone-volume measures of an OBJ polytope")
-    p.add_argument("--obj", default=None, help="input OBJ file")
     p.add_argument("--measure", default=None, choices=["surface", "cone", "both"],
                    help="which measure to write (default both)")
 
-    p = sub.add_parser("john", parents=[shared],
-                       help="minimum-volume enclosing ellipsoid of an OBJ polytope")
-    p.add_argument("--obj", default=None, help="input OBJ file")
+    sub.add_parser("john", parents=[io, polytope],
+                   help="minimum-volume enclosing ellipsoid of an OBJ polytope")
 
-    p = sub.add_parser("diag", parents=[shared],
-                       help="blow-down diagnostics of an OBJ polytope")
-    p.add_argument("--obj", default=None, help="input OBJ file")
+    sub.add_parser("diag", parents=[io, polytope],
+                   help="blow-down diagnostics of an OBJ polytope")
 
-    p = sub.add_parser("experiment", parents=[shared],
+    p = sub.add_parser("experiment", parents=[io, numerics, seeded],
                        help="run a seeded suite and write its report")
     p.add_argument("--kind", default=None,
                    choices=["uniqueness", "bound", "diagnostics"])
@@ -188,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _flag_actions() -> dict:
     """The action of every subcommand's flags, by destination: the one
-    declaration of each config key, its type and its choices."""
+    declaration of each config key, its type and its choices.  Commands that
+    take the same option group share its actions."""
     subcommands = next(action for action in _build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     return {action.dest: action for parser in subcommands.choices.values()
@@ -265,16 +285,25 @@ def _load_polytope(cfg: dict):
         return polytope_from_obj(handle.read())
 
 
+def _write_body(cfg: dict, name: str, h: SupportFunction) -> None:
+    write_atomic(_out_path(cfg, name), polytope_to_obj(polytope_from_support(h)))
+
+
+def _write_solution(cfg: dict, h: SupportFunction, log_name: str, log_text: str) -> None:
+    """The artefacts of the equation group: ``solution.csv``, the run's log
+    and, with ``write_obj``, ``body.obj``."""
+    write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(h.field))
+    write_atomic(_out_path(cfg, log_name), log_text)
+    if cfg.get("write_obj", False):
+        _write_body(cfg, "body.obj", h)
+
+
 def cmd_solve(cfg: dict) -> int:
     grid = build_grid(**_given(cfg, L="grid_L"))
     f = _require_density(cfg, grid)
     opts = SolveOptions(**_given(cfg, tolerance="tol"))
     result = newton_solve(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid)
-    write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
-    write_atomic(_out_path(cfg, "report.csv"), result.report_csv())
-    if cfg.get("write_obj", False):
-        write_atomic(_out_path(cfg, "body.obj"),
-                     polytope_to_obj(polytope_from_support(result.h)))
+    _write_solution(cfg, result.h, "report.csv", result.report_csv())
     print(f"solved in {result.iterations} iterations, "
           f"residual {result.residual_sup:.3e}")
     return 0
@@ -287,17 +316,12 @@ def cmd_flow(cfg: dict) -> int:
                                 renormalize="renormalize", t_final="t_final"))
 
     def snapshot(step, t, h):
-        write_atomic(_out_path(cfg, f"body_{step:06d}.obj"),
-                     polytope_to_obj(polytope_from_support(h)))
+        _write_body(cfg, f"body_{step:06d}.obj", h)
 
     result = run_flow(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid,
                       snapshot_fn=snapshot,
                       **_given(cfg, snapshot_every="snapshot_every"))
-    write_atomic(_out_path(cfg, "solution.csv"), field_to_csv(result.h.field))
-    write_atomic(_out_path(cfg, "trace.csv"), result.trace_csv())
-    if cfg.get("write_obj", False):
-        write_atomic(_out_path(cfg, "body.obj"),
-                     polytope_to_obj(polytope_from_support(result.h)))
+    _write_solution(cfg, result.h, "trace.csv", result.trace_csv())
     print(f"flow stopped ({result.reason}) after {result.steps} steps, "
           f"t = {result.t_end:.6g}, c_est = {result.c_est:.6g}")
     return 0

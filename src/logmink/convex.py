@@ -41,6 +41,7 @@ from .grid import (
     _csv_cell,
     _csv_rows,
     _csv_text,
+    _require_integer,
     _require_positive_finite,
     integrate,
     require_same_grid,
@@ -822,9 +823,10 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
     from scipy.spatial import HalfspaceIntersection, QhullError
 
     _require_positive_finite("offset radius", radius)
+    n_directions = _require_integer("n_directions", n_directions)
     if n_directions < 4:
         raise InvalidParameter(f"need at least 4 directions, got {n_directions}")
-    dirs = np.vstack((P.facet_normals(), _spiral_directions(int(n_directions))))
+    dirs = np.vstack((P.facet_normals(), _spiral_directions(n_directions)))
     b = P.support(dirs) + radius
     halfspaces = np.column_stack((dirs, -b))
     interior = P.centroid

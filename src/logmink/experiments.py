@@ -31,7 +31,15 @@ from .errors import (
     LogminkError,
 )
 from .flow import FlowOptions, run_flow
-from .grid import HarmonicCoeffs, SphericalGrid, _csv_cell, _csv_text, build_grid
+from .grid import (
+    HarmonicCoeffs,
+    SphericalGrid,
+    _csv_cell,
+    _csv_text,
+    _require_integer,
+    _require_positive_finite,
+    build_grid,
+)
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 _DEFAULT_INITS = ("const:0.7", "const:1.0", "const:1.4", "perturb", "flow")
@@ -57,11 +65,11 @@ class ExperimentSpec:
             raise InvalidParameter(
                 f"unknown suite kind {self.kind!r}; expected one of {tuple(_SUITES)}"
             )
+        for name in ("count", "seed", "L"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
         _require_density_parameters(self.seed, self.eps, self.lam)
-        if not isinstance(self.L, int) or isinstance(self.L, bool):
-            raise InvalidParameter(f"bandwidth L must be an integer, got {self.L!r}")
         object.__setattr__(self, "inits", tuple(self.inits))
         if not self.inits:
             raise InvalidParameter("inits must name at least one strategy")
@@ -129,6 +137,7 @@ def gen_density(seed: int, eps: float, lam: float,
     fail, the amplitude is shrunk by 0.8 and the check retried; after 100
     retries :class:`GenerationFailure` is raised.
     """
+    seed = _require_integer("seed", seed)
     _require_density_parameters(seed, eps, lam)
     if eps == 0.0:
         return DensityFunction.constant(1.0)
@@ -182,10 +191,7 @@ def _parse_init(strategy: str) -> tuple[str, float | None]:
             factor = float(arg)
         except ValueError:
             factor = float("nan")
-        if not (0.0 < factor < np.inf):
-            raise InvalidParameter(
-                f"constant init factor must be positive and finite: {strategy!r}"
-            )
+        _require_positive_finite(f"constant init factor of {strategy!r}", factor)
         return name, factor
     if strategy in ("perturb", "flow"):
         return strategy, None

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid, _csv_text, _require_positive_finite
+from .grid import SphericalGrid, _csv_text, _require_integer, _require_positive_finite
 from .solver import (
     DensityFunction,
     SupportFunction,
@@ -188,6 +188,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     takes no snapshots.
     """
     opts = opts or FlowOptions()
+    snapshot_every = _require_integer("snapshot_every", snapshot_every)
     if snapshot_every < 0:
         raise InvalidParameter(f"snapshot_every must be >= 0, got {snapshot_every}")
     h = _initial_iterate(f, h0, grid)

@@ -85,6 +85,8 @@ _MAX_BANDWIDTH = 64
 
 def lm_index(l: int, m: int) -> int:
     """Flat index of the real harmonic (l, m) in coefficient vectors."""
+    l = _require_integer("harmonic degree l", l)
+    m = _require_integer("harmonic order m", m)
     if not (0 <= abs(m) <= l):
         raise InvalidParameter(f"harmonic order |m| <= l required, got l={l}, m={m}")
     return l * l + l + m
@@ -106,6 +108,19 @@ def _require_positive_finite(name: str, value: float) -> None:
     # written as not (0 < value < inf) so that NaN fails too
     if not (0.0 < value < np.inf):
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
+
+
+def _require_integer(name: str, value) -> int:
+    """The one rule for integer options; returns ``value`` as an int.
+
+    Ints, numpy integers and integral floats pass; bools, strings,
+    non-finite and fractional values raise InvalidParameter.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
 def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,9 +522,7 @@ def build_grid(L: int = DEFAULT_BANDWIDTH) -> SphericalGrid:
         matrices (``C = (L+1)**2``), about 143 MB each at L = 64 and 708 MB
         at L = 96.
     """
-    if int(L) != L:
-        raise InvalidParameter(f"bandwidth must be an integer, got {L!r}")
-    L = int(L)
+    L = _require_integer("bandwidth", L)
     if L < 4:
         raise InvalidParameter(f"bandwidth must be at least 4, got {L}")
     if L > _MAX_BANDWIDTH:
@@ -583,9 +596,10 @@ def tangential_gradient(h: ScalarField) -> np.ndarray:
 
 def harmonic_field(grid: SphericalGrid, l: int, m: int) -> ScalarField:
     """The orthonormal real harmonic (l, m) sampled on the grid."""
+    index = lm_index(l, m)
     _require_fits(l, grid.L)
     c = np.zeros(grid.n_coeffs)
-    c[lm_index(l, m)] = 1.0
+    c[index] = 1.0
     return ScalarField(grid, grid.synthesize_coeffs(c))
 
 

@@ -33,6 +33,7 @@ from .grid import (
     _csv_text,
     _harmonic_sup,
     _require_fits,
+    _require_integer,
     _require_positive_finite,
     build_grid,
     coeff_count,
@@ -62,6 +63,19 @@ _POSITIVITY_FLOOR = 1e-8
 # GMRES stops a Newton step once its residual is below this fraction of the
 # right-hand side's 2-norm.
 _KRYLOV_RTOL = 1e-13
+
+
+def _zonal_coefficient(name: str, value: float) -> float:
+    """The l = 0 coefficient of the constant function ``value``.
+
+    The value and its coefficient must both be positive and finite.  The
+    product is taken in Python floats, which overflow to inf silently where
+    numpy scalars warn.
+    """
+    _require_positive_finite(name, value)
+    zonal = float(value) * float(np.sqrt(4.0 * np.pi))
+    _require_positive_finite(f"zonal coefficient of {name} {value}", zonal)
+    return zonal
 
 
 def _curvature_data(grid: SphericalGrid, values: np.ndarray):
@@ -177,9 +191,8 @@ class SupportFunction:
     @classmethod
     def constant(cls, grid: SphericalGrid, value: float) -> "SupportFunction":
         """The sphere of radius ``value`` about the origin."""
-        _require_positive_finite("constant support value", value)
         c = np.zeros(grid.n_coeffs)
-        c[0] = value * np.sqrt(4.0 * np.pi)
+        c[0] = _zonal_coefficient("constant support value", value)
         return cls(grid, c)
 
     @property
@@ -227,10 +240,8 @@ class DensityFunction:
 
     @classmethod
     def constant(cls, value: float) -> "DensityFunction":
-        if value <= 0.0:
-            raise InvalidParameter(f"constant density must be positive, got {value}")
         c = np.zeros(1)
-        c[0] = value * np.sqrt(4.0 * np.pi)
+        c[0] = _zonal_coefficient("constant density", value)
         return cls(HarmonicCoeffs(0, c), value, value)
 
     @classmethod
@@ -244,11 +255,13 @@ class DensityFunction:
         the attained range on the grid.
         """
         try:
-            terms = [(int(l), int(m), float(amp)) for l, m, amp in terms]
+            triples = [(l, m, float(amp)) for l, m, amp in terms]
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(
                 f"harmonic terms must be (l, m, amplitude) triples, got {terms!r}"
             ) from exc
+        terms = [(_require_integer("harmonic degree l", l),
+                  _require_integer("harmonic order m", m), amp) for l, m, amp in triples]
         if not terms:
             raise InvalidParameter("at least one (l, m, amplitude) term required")
         Lmax = max(l for l, _, _ in terms)

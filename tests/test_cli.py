@@ -260,6 +260,8 @@ def test_infinite_tolerance_exits_2(tmp_path, capsys):
     "harmonics:[(1,0)]",            # a term with two entries
     "harmonics:[(1,'a',0.1)]",      # a non-numeric order
     "harmonics:[(400,1,0.1)]",      # a degree above the grid's bandwidth
+    "harmonics:[(1.5,0,0.1)]",      # a fractional degree
+    "const:1e308",                  # a zonal coefficient that overflows
 ])
 def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     code = main(["solve", "--f", preset, "--out", str(tmp_path)])
@@ -274,6 +276,7 @@ def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     "const:abc",                    # not a number
     "const:nan",                    # not finite
     "const:inf",                    # not finite
+    "const:1e308",                  # a zonal coefficient that overflows
 ])
 def test_malformed_h0_preset_exits_2(tmp_path, capsys, preset):
     code = main(["solve", "--f", "const:1.0", "--h0", preset, "--out", str(tmp_path)])
@@ -307,6 +310,41 @@ def test_config_keys_match_the_cli_flags():
              for action in parser._actions if action.dest != "help"}
     text = "".join(f"{dest}=x\n" for dest in sorted(dests))
     assert set(parse_config_text(text)) == dests
+
+
+def test_each_config_key_has_one_declaration():
+    # commands that take the same option group share its argparse actions
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actions: dict = {}
+    for parser in subparsers.choices.values():
+        for action in parser._actions:
+            if action.dest != "help":
+                actions.setdefault(action.dest, set()).add(id(action))
+    assert {dest: len(ids) for dest, ids in actions.items() if len(ids) > 1} == {}
+
+
+@pytest.mark.parametrize("command, flag, value, typed", [
+    *[(command, flag, value, typed) for command in ("measure", "john", "diag")
+      for flag, value, typed in (("--grid-L", "12", 12), ("--tol", "1e-8", 1e-8),
+                                 ("--seed", "3", 3))],
+    ("solve", "--seed", "3", 3),
+    ("flow", "--seed", "3", 3),
+])
+def test_flag_of_a_group_the_command_does_not_take_exits_2(tmp_path, capsys, command,
+                                                           flag, value, typed):
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, value, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # the key of the flag still loads from a config file, typed by its flag
+    key = flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    merged = cli._merge(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+    assert merged == {key: typed}
+    assert type(merged[key]) is type(typed)
 
 
 @pytest.mark.parametrize("command, flag, line", [

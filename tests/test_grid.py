@@ -369,6 +369,37 @@ def test_build_grid_validation():
         build_grid(16.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lm_index(2.5, 0),
+    lambda: lm_index(2, True),
+    lambda: harmonic_field(build_grid(8), 2.5, 0),
+    lambda: logmink.DensityFunction.from_harmonics([(1.5, 0, 0.1)]),
+    lambda: build_grid("abc"),
+    lambda: build_grid(np.inf),
+    lambda: logmink.ExperimentSpec(kind="bound", count=2.5),
+    lambda: logmink.ExperimentSpec(kind="bound", seed=np.nan),
+    lambda: logmink.ExperimentSpec(kind="bound", L=True),
+    lambda: logmink.gen_density(1.5, 0.05, 2.0),
+    lambda: logmink.ball_offset_outer(logmink.convex_hull_3d(np.vstack((np.eye(3), -np.eye(3)))),
+                                      0.1, n_directions=4.5),
+    lambda: logmink.run_flow(logmink.DensityFunction.constant(1.0), snapshot_every="3"),
+], ids=["lm-degree", "lm-bool-order", "harmonic-field", "from-harmonics",
+        "grid-string", "grid-inf", "spec-count", "spec-seed", "spec-bool-L",
+        "gen-density-seed", "offset-directions", "flow-snapshot"])
+def test_integer_parameters_reject_non_integers(call):
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        call()
+
+
+def test_integer_parameters_accept_integral_numbers():
+    assert build_grid(np.int64(8)) is build_grid(8.0) is build_grid(8)
+    assert lm_index(np.int32(2), 1.0) == lm_index(2, 1)
+    spec = logmink.ExperimentSpec(kind="bound", count=np.int64(2), seed=3.0, L=16.0)
+    assert (spec.count, spec.seed, spec.L) == (2, 3, 16)
+    assert all(type(v) is int for v in (spec.count, spec.seed, spec.L))
+    assert "count=2 seed=3 " in spec.describe() and " L=16 " in spec.describe()
+
+
 def test_grid_cache_identity():
     assert build_grid(8) is build_grid(8)
 

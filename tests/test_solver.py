@@ -146,9 +146,12 @@ def test_scaled_rejects_bad_factors(grid):
 
 
 def test_constant_rejects_bad_values(grid):
-    for value in (0.0, -1.0, np.nan, np.inf):
+    # 1e308 is finite, but its zonal coefficient 1e308 * sqrt(4 pi) is not
+    for value in (0.0, -1.0, np.nan, np.inf, 1e308):
         with pytest.raises(InvalidParameter):
             SupportFunction.constant(grid, value)
+        with pytest.raises(InvalidParameter):
+            DensityFunction.constant(value)
 
 
 def test_from_field_rejects_aliased_values(grid):
