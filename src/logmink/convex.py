@@ -22,7 +22,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .grid import (
     _csv_cell,
     _csv_rows,
     _csv_text,
+    _read_only,
     _require_integer,
     _require_positive_finite,
     integrate,
@@ -124,32 +125,30 @@ def _max_dot(vertices: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
+@dataclass(frozen=True, eq=False)
 class Polytope:
     """Convex polytope with merged planar facets, held as parallel arrays.
 
     Build instances with :func:`convex_hull_3d` (or the OBJ reader); the
-    constructor only freezes prepared data.  Row g of the read-only facet
-    arrays holds facet g's outward unit normal, support number, polygon
-    area and area centroid; ``loops[g]`` lists its vertex indices.
-    Vertices are the extreme points, ``centroid`` is their mean and serves
-    as the apex for the facet-cone volume decomposition.
+    constructor only copies and freezes prepared data.  Row g of the
+    read-only facet arrays ``normals``, ``offsets`` and ``areas`` holds
+    facet g's outward unit normal, support number and polygon area;
+    ``loops[g]`` lists its vertex indices.  Vertices are the extreme
+    points, ``centroid`` is their mean and serves as the apex for the
+    facet-cone volume decomposition.  Instances compare by identity.
     """
 
-    def __init__(self, vertices, normals, offsets, areas, facet_centroids,
-                 loops, centroid):
-        self.vertices = _frozen(vertices)
-        self._normals = _frozen(normals)
-        self._offsets = _frozen(offsets)
-        self._areas = _frozen(areas)
-        self._facet_centroids = _frozen(facet_centroids)
-        self._loops = tuple(loops)
-        self.centroid = _frozen(centroid)
+    vertices: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    areas: np.ndarray
+    loops: tuple
+    centroid: np.ndarray
+
+    def __post_init__(self):
+        for name in ("vertices", "normals", "offsets", "areas", "centroid"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "loops", tuple(self.loops))
 
     @property
     def n_vertices(self) -> int:
@@ -157,22 +156,7 @@ class Polytope:
 
     @property
     def n_facets(self) -> int:
-        return self._offsets.shape[0]
-
-    def facet_normals(self) -> np.ndarray:
-        return self._normals
-
-    def facet_offsets(self) -> np.ndarray:
-        return self._offsets
-
-    def facet_areas(self) -> np.ndarray:
-        return self._areas
-
-    def facet_centroids(self) -> np.ndarray:
-        return self._facet_centroids
-
-    def facet_loops(self) -> tuple:
-        return self._loops
+        return self.offsets.shape[0]
 
     def support(self, directions) -> float | np.ndarray:
         """Support values max_x in P of u . x, for one direction or a stack.
@@ -188,16 +172,16 @@ class Polytope:
         return out
 
     def contains_origin(self) -> bool:
-        return bool(np.min(self._offsets) >= -_ORIGIN_TOL)
+        return bool(np.min(self.offsets) >= -_ORIGIN_TOL)
 
     def translated(self, shift) -> "Polytope":
         """The translate P + shift; facet geometry moves rigidly."""
         t = np.asarray(shift, dtype=float)
         if t.shape != (3,):
             raise InvalidParameter(f"shift must be a 3-vector, got shape {t.shape}")
-        return Polytope(self.vertices + t, self._normals,
-                        self._offsets + self._normals @ t, self._areas,
-                        self._facet_centroids + t, self._loops, self.centroid + t)
+        return replace(self, vertices=self.vertices + t,
+                       offsets=self.offsets + self.normals @ t,
+                       centroid=self.centroid + t)
 
     def rotated(self, rotation) -> "Polytope":
         """The image R P for an orthogonal matrix R with det +1."""
@@ -207,9 +191,8 @@ class Polytope:
         if (np.max(np.abs(R @ R.T - np.eye(3))) > 1e-10
                 or np.linalg.det(R) < 0.0):
             raise InvalidParameter("matrix is not a proper rotation")
-        return Polytope(self.vertices @ R.T, self._normals @ R.T, self._offsets,
-                        self._areas, self._facet_centroids @ R.T, self._loops,
-                        R @ self.centroid)
+        return replace(self, vertices=self.vertices @ R.T,
+                       normals=self.normals @ R.T, centroid=R @ self.centroid)
 
     def __repr__(self) -> str:
         return (f"Polytope(n_vertices={self.n_vertices}, "
@@ -220,8 +203,8 @@ class DiscreteMeasure:
     """Finite nonnegative measure on the sphere: one or more unit atoms with weights."""
 
     def __init__(self, vectors: np.ndarray, weights: np.ndarray):
-        vectors = np.asarray(vectors, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        vectors = _read_only(vectors)
+        weights = _read_only(weights)
         if vectors.ndim != 2 or vectors.shape[1] != 3:
             raise InvalidParameter(
                 f"atom vectors must form a (k, 3) array, got shape {vectors.shape}"
@@ -245,8 +228,6 @@ class DiscreteMeasure:
             raise InvalidParameter(f"atom weight {bad} is negative ({weights[bad]!r})")
         self.vectors = vectors
         self.weights = weights
-        self.vectors.setflags(write=False)
-        self.weights.setflags(write=False)
 
     @property
     def n_atoms(self) -> int:
@@ -281,9 +262,9 @@ class Ellipsoid:
     """Solid ellipsoid: center, ascending radii, matching orthonormal axes."""
 
     def __init__(self, center: np.ndarray, radii: np.ndarray, axes: np.ndarray):
-        center = np.asarray(center, dtype=float)
-        radii = np.asarray(radii, dtype=float)
-        axes = np.asarray(axes, dtype=float)
+        center = _read_only(center)
+        radii = _read_only(radii)
+        axes = _read_only(axes)
         if center.shape != (3,) or radii.shape != (3,) or axes.shape != (3, 3):
             raise InvalidParameter("ellipsoid needs center (3,), radii (3,), axes (3, 3)")
         if not all(np.all(np.isfinite(arr)) for arr in (center, radii, axes)):
@@ -297,8 +278,6 @@ class Ellipsoid:
         self.center = center
         self.radii = radii
         self.axes = axes
-        for arr in (self.center, self.radii, self.axes):
-            arr.setflags(write=False)
 
     @property
     def volume(self) -> float:
@@ -384,8 +363,8 @@ def _planar_facets(coords: np.ndarray, normals: np.ndarray, min_area: float):
     ``coords`` is (g, k, 3), the member points of each facet in any order;
     ``normals`` is (g, 3), their unit outward normals.  Returns the support
     numbers (g,), the counter-clockwise vertex order about each normal
-    (g, k), the polygon areas (g,) and the area centroids (g, 3).  Raises
-    :class:`DimensionDeficient` if an area is at most ``min_area``.
+    (g, k) and the polygon areas (g,).  Raises :class:`DimensionDeficient`
+    if an area is at most ``min_area``.
     """
     offsets = np.einsum("gkj,gj->gk", coords, normals).max(axis=1)
     t1, t2 = _orthobasis(normals)
@@ -401,10 +380,7 @@ def _planar_facets(coords: np.ndarray, normals: np.ndarray, min_area: float):
     areas = 0.5 * cross2.sum(axis=1)
     if np.min(areas) <= min_area:
         raise DimensionDeficient("hull produced a zero-area facet")
-    cx = ((x + xn) * cross2).sum(axis=1) / (6.0 * areas)
-    cy = ((y + yn) * cross2).sum(axis=1) / (6.0 * areas)
-    centroids = base + cx[:, None] * t1 + cy[:, None] * t2
-    return offsets, order, areas, centroids
+    return offsets, order, areas
 
 
 def convex_hull_3d(points) -> Polytope:
@@ -474,12 +450,11 @@ def convex_hull_3d(points) -> Polytope:
     min_area = 1e-14 * (float(np.max(np.abs(vertices))) + 1.0) ** 2
     offsets = np.empty(n_groups)
     areas = np.empty(n_groups)
-    centroids = np.empty((n_groups, 3))
     loops = [()] * n_groups
     for k in np.unique(counts).tolist():
         sel = np.nonzero(counts == k)[0]
         ids = members[starts[sel][:, None] + np.arange(k)]
-        offsets[sel], order, areas[sel], centroids[sel] = _planar_facets(
+        offsets[sel], order, areas[sel] = _planar_facets(
             pts[ids], facet_normals[sel], min_area)
         for g, loop in zip(sel.tolist(),
                            relabel[np.take_along_axis(ids, order, axis=1)].tolist()):
@@ -492,7 +467,7 @@ def convex_hull_3d(points) -> Polytope:
         raise InvalidParameter(
             f"internal hull inconsistency: vertex violates a facet by {worst:.3e}"
         )
-    return Polytope(vertices, facet_normals, offsets, areas, centroids, loops,
+    return Polytope(vertices, facet_normals, offsets, areas, loops,
                     vertices.mean(axis=0))
 
 
@@ -503,7 +478,7 @@ def support_field(P: Polytope, grid: SphericalGrid) -> ScalarField:
 
 def surface_area_measure(P: Polytope) -> DiscreteMeasure:
     """One atom per facet at its outward normal, weighted by facet area."""
-    return DiscreteMeasure(P.facet_normals(), P.facet_areas())
+    return DiscreteMeasure(P.normals, P.areas)
 
 
 def cone_volume_measure(P: Polytope) -> DiscreteMeasure:
@@ -514,21 +489,21 @@ def cone_volume_measure(P: Polytope) -> DiscreteMeasure:
     is the volume of P.  Facets through the origin get weight zero (tiny
     negative products from roundoff are clamped).
     """
-    offsets = P.facet_offsets()
+    offsets = P.offsets
     if np.min(offsets) < -_ORIGIN_TOL:
         bad = int(np.argmin(offsets))
         raise OriginNotContained(
             f"origin lies outside the polytope: facet {bad} has support "
             f"number {offsets[bad]:.3e}"
         )
-    weights = np.maximum(offsets * P.facet_areas() / 3.0, 0.0)
-    return DiscreteMeasure(P.facet_normals(), weights)
+    weights = np.maximum(offsets * P.areas / 3.0, 0.0)
+    return DiscreteMeasure(P.normals, weights)
 
 
 def volume(P: Polytope) -> float:
     """Volume by summing facet cones about the vertex centroid."""
-    heights = P.facet_offsets() - P.facet_normals() @ P.centroid
-    return float(np.sum(heights * P.facet_areas()) / 3.0)
+    heights = P.offsets - P.normals @ P.centroid
+    return float(np.sum(heights * P.areas) / 3.0)
 
 
 def volume_from_support(h) -> float:
@@ -826,7 +801,7 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
     n_directions = _require_integer("n_directions", n_directions)
     if n_directions < 4:
         raise InvalidParameter(f"need at least 4 directions, got {n_directions}")
-    dirs = np.vstack((P.facet_normals(), _spiral_directions(n_directions)))
+    dirs = np.vstack((P.normals, _spiral_directions(n_directions)))
     b = P.support(dirs) + radius
     halfspaces = np.column_stack((dirs, -b))
     interior = P.centroid
@@ -841,7 +816,7 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
 def polytope_to_obj(P: Polytope) -> str:
     """OBJ text: one `v` line per vertex, one `f` line per facet (1-based)."""
     lines = ["v " + " ".join(map(_csv_cell, xyz)) for xyz in P.vertices.tolist()]
-    lines += ["f " + " ".join(str(i + 1) for i in loop) for loop in P.facet_loops()]
+    lines += ["f " + " ".join(str(i + 1) for i in loop) for loop in P.loops]
     return "\n".join(lines) + "\n"
 
 

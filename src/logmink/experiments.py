@@ -88,23 +88,22 @@ class ExperimentSpec:
 class ExperimentReport:
     """Per-sample records plus aggregates, serializable as CSV.
 
-    ``records`` is a list of dicts; keys listed in ``columns`` become CSV
-    fields, keys starting with an underscore hold live objects (solutions,
-    densities, failure lists) for in-process inspection.  ``aggregates``
-    must always equal :meth:`recompute_aggregates` of the records.
+    ``records`` is a list of dicts; keys listed in ``columns`` (the suite's
+    report columns) become CSV fields, keys starting with an underscore hold
+    live objects (solutions, densities, failure lists) for in-process
+    inspection.  ``aggregates`` holds n_samples, n_failures and the suite's
+    aggregates, computed once from the records.
     """
 
-    def __init__(self, spec: ExperimentSpec, columns: list, records: list):
+    def __init__(self, spec: ExperimentSpec, records: list):
+        _, self.columns, suite_aggregates = _SUITES[spec.kind]
         self.spec = spec
-        self.columns = list(columns)
         self.records = list(records)
-        self.aggregates = self.recompute_aggregates()
-
-    def recompute_aggregates(self) -> dict:
-        _, _, suite_aggregates = _SUITES[self.spec.kind]
-        return {"n_samples": len(self.records),
-                "n_failures": sum(len(r.get("_failures", ())) for r in self.records),
-                **suite_aggregates(self.records)}
+        self.aggregates = {
+            "n_samples": len(self.records),
+            "n_failures": sum(len(r.get("_failures", ())) for r in self.records),
+            **suite_aggregates(self.records),
+        }
 
     def to_csv(self) -> str:
         rows = ([rec[c] for c in self.columns] for rec in self.records)
@@ -312,16 +311,16 @@ def _bound_aggregates(records: list) -> dict:
 # giving the suite's aggregates after n_samples and n_failures)
 _SUITES = {
     "uniqueness": (_uniqueness_record,
-                   ["sample", "seed", "n_solved", "n_failed", "max_pairwise",
-                    "worst_residual", "max_iterations"],
+                   ("sample", "seed", "n_solved", "n_failed", "max_pairwise",
+                    "worst_residual", "max_iterations"),
                    _uniqueness_aggregates),
     "bound": (_solve_and_diagnose,
-              ["sample", "seed", "h_sup", "h_min", "iterations", "residual_sup",
-               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"],
+              ("sample", "seed", "h_sup", "h_min", "iterations", "residual_sup",
+               "ratio_32", "ratio_21", "axis_dist_ratio", "plane_dist_ratio"),
               _bound_aggregates),
     "diagnostics": (_solve_and_diagnose,
-                    ["sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
-                     "plane_dist_ratio"],
+                    ("sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
+                     "plane_dist_ratio"),
                     _ratio_aggregates),
 }
 
@@ -341,10 +340,10 @@ def run_experiment(spec: ExperimentSpec,
       :class:`ConvergenceFailure`, flagging either a solver problem or a
       genuinely degenerating solution family worth inspection.
     """
-    record, columns, _ = _SUITES[spec.kind]
+    record = _SUITES[spec.kind][0]
     grid = build_grid(spec.L)
-    report = ExperimentReport(spec, columns, [record(spec, grid, i, solve_opts)
-                                              for i in range(spec.count)])
+    report = ExperimentReport(spec, [record(spec, grid, i, solve_opts)
+                                     for i in range(spec.count)])
     if spec.kind == "diagnostics":
         worst = max(report.aggregates["max_ratio_32"],
                     report.aggregates["max_ratio_21"])

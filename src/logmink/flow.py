@@ -202,7 +202,6 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     rows = []
     accepted_in_a_row = 0
     halvings_left = _MAX_HALVINGS
-    steps_accepted = 0
 
     for _ in range(_MAX_STEPS):
         dt_step = dt
@@ -232,7 +231,6 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         rate = float(np.max(np.abs(grid.synthesize_coeffs(a)))) / (
             dt_step * float(np.max(np.abs(h.values))))
         t += dt_step
-        steps_accepted += 1
         halvings_left = _MAX_HALVINGS
         mass = _mass(cand)
         vol = mass / 3.0
@@ -241,11 +239,11 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         rows.append((t, vol, res, float(np.min(cand.values))))
         h = cand
         if snapshot_every > 0 and snapshot_fn is not None and \
-                steps_accepted % snapshot_every == 0:
-            snapshot_fn(steps_accepted, t, h)
+                len(rows) % snapshot_every == 0:
+            snapshot_fn(len(rows), t, h)
 
         if opts.t_final is not None and t >= opts.t_final - 1e-15:
-            return FlowResult(h=h, steps=steps_accepted, t_end=t, c_est=1.0,
+            return FlowResult(h=h, steps=len(rows), t_end=t, c_est=1.0,
                               reason="time", rows=rows)
         if rate <= opts.stationarity_tol:
             h_final = h.scaled(c_est ** (-1.0 / 3.0))
@@ -261,9 +259,9 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                                            opts.residual_check * f.mean(), grid.L,
                                            "raise --grid-L, or loosen the API option "
                                            "FlowOptions.residual_check"),
-                    residual=residual, iterations=steps_accepted,
+                    residual=residual, iterations=len(rows),
                 )
-            return FlowResult(h=h_final, steps=steps_accepted, t_end=t,
+            return FlowResult(h=h_final, steps=len(rows), t_end=t,
                               c_est=c_est, reason="stationary", rows=rows)
 
         accepted_in_a_row += 1

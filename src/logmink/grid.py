@@ -110,6 +110,17 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
+def _read_only(values) -> np.ndarray:
+    """The one rule for a value type's arrays: a read-only float copy.
+
+    Copying first keeps the caller's array writable and the instance's
+    array unchanged by later writes to it.
+    """
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 def _require_integer(name: str, value) -> int:
     """The one rule for integer options; returns ``value`` as an int.
 
@@ -450,19 +461,14 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only(self.values)
         if values.shape != (self.grid.n_nodes,):
             raise InvalidParameter(
                 f"field needs {self.grid.n_nodes} node values, got shape {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise InvalidParameter("field values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -480,7 +486,7 @@ class HarmonicCoeffs:
     def __post_init__(self):
         if self.L < 0:
             raise InvalidParameter("bandwidth must be nonnegative")
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only(self.values)
         if values.shape != (coeff_count(self.L),):
             raise InvalidParameter(
                 f"bandwidth {self.L} needs {coeff_count(self.L)} coefficients, "
@@ -488,15 +494,7 @@ class HarmonicCoeffs:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidParameter("coefficients must be finite")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def __getitem__(self, lm: tuple[int, int]) -> float:
-        l, m = lm
-        if l > self.L:
-            raise InvalidParameter(f"degree {l} exceeds bandwidth {self.L}")
-        return float(self.values[lm_index(l, m)])
 
     def embedded(self, L: int) -> "HarmonicCoeffs":
         """Zero-pad to bandwidth ``L >= self.L`` (see :func:`_require_fits`)."""

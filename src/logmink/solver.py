@@ -32,6 +32,7 @@ from .grid import (
     SphericalGrid,
     _csv_text,
     _harmonic_sup,
+    _read_only,
     _require_fits,
     _require_integer,
     _require_positive_finite,
@@ -125,7 +126,7 @@ class SupportFunction:
     """
 
     def __init__(self, grid: SphericalGrid, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = _read_only(coeffs)
         if coeffs.shape != (grid.n_coeffs,):
             raise InvalidParameter(
                 f"support function on bandwidth {grid.L} needs {grid.n_coeffs} "
@@ -138,6 +139,7 @@ class SupportFunction:
         self._store(grid, coeffs, values, w11, w12, w22, det, min_eig)
 
     def _store(self, grid, coeffs, values, w11, w12, w22, det, min_eig) -> None:
+        # freezes in place: every array here is the instance's own
         self.grid = grid
         self.coeffs = coeffs
         self.values = values
@@ -359,7 +361,6 @@ class NewtonResult:
     """
 
     h: SupportFunction
-    converged: bool
     iterations: int
     residual_sup: float
     rows: list
@@ -597,8 +598,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             )
         rows.append((it, res_sup, float(h.values.min()), float(h.min_eig_w.min()), step))
 
-    converged = res_sup <= threshold
-    if not converged:
+    if not res_sup <= threshold:
         raise ConvergenceFailure(
             f"Newton did not reach tolerance {opts.tolerance:.3e} relative to mean f in "
             f"{_MAX_ITERATIONS} iterations (residual {res_sup:.3e})",
@@ -607,7 +607,6 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     condition = _condition_number(_jacobian_matrix(prev))
     return NewtonResult(
         h=h,
-        converged=True,
         iterations=rows[-1][0],
         residual_sup=res_sup,
         rows=rows,

@@ -1,5 +1,6 @@
 """Polytope, measure, ellipsoid, and outer-approximation tests."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -81,11 +82,11 @@ def test_cube_hull():
     P = convex_hull_3d(pts)
     assert P.n_vertices == 8
     assert P.n_facets == 6
-    assert_allclose(np.sort(P.facet_areas()), 4.0, atol=1e-12)
-    assert_allclose(np.sort(P.facet_offsets()), 1.0, atol=1e-12)
+    assert_allclose(np.sort(P.areas), 4.0, atol=1e-12)
+    assert_allclose(np.sort(P.offsets), 1.0, atol=1e-12)
     assert_allclose(P.centroid, 0.0, atol=1e-12)
     # normals are the six signed coordinate directions
-    assert_allclose(np.abs(P.facet_normals()).max(axis=1), 1.0, atol=1e-12)
+    assert_allclose(np.abs(P.normals).max(axis=1), 1.0, atol=1e-12)
 
 
 def test_simplex_hull():
@@ -100,7 +101,7 @@ def test_hull_merges_coplanar_triangles():
     # qhull triangulates the cube faces; the merged hull must report squares
     P = convex_hull_3d(cube_points(2.5))
     assert P.n_facets == 6
-    for loop in P.facet_loops():
+    for loop in P.loops:
         assert len(loop) == 4
 
 
@@ -134,7 +135,7 @@ def test_hull_facets_match_independent_oracles(body, newton_boundaries):
               "cloud": random_cloud(3),
               "newton": newton_boundaries[0]}[body]
     P = convex_hull_3d(points)
-    sizes = [len(loop) for loop in P.facet_loops()]
+    sizes = [len(loop) for loop in P.loops]
     if body == "cube":
         assert sizes == [4] * 6
     elif body == "cloud":
@@ -143,11 +144,9 @@ def test_hull_facets_match_independent_oracles(body, newton_boundaries):
         assert 3 in sizes and sum(k > 3 for k in sizes) >= 5
     # one facet per merge group, in the order of the groups' first triangles
     groups = _merge_groups(points)
-    loops = P.facet_loops()
+    loops = P.loops
     assert [frozenset(map(tuple, P.vertices[list(loop)])) for loop in loops] == groups
-    for loop, f_normal, f_offset, f_area, f_centroid in zip(
-            loops, P.facet_normals(), P.facet_offsets(), P.facet_areas(),
-            P.facet_centroids()):
+    for loop, f_normal, f_offset, f_area in zip(loops, P.normals, P.offsets, P.areas):
         rel = P.vertices[list(loop)] - P.vertices[list(loop)].mean(axis=0)
         area_vector = _newell(rel)
         normal = area_vector / np.linalg.norm(area_vector)
@@ -156,14 +155,10 @@ def test_hull_facets_match_independent_oracles(body, newton_boundaries):
         # turn of the loop is a left turn
         edges = np.roll(rel, -1, axis=0) - rel
         assert np.all(np.cross(edges, np.roll(edges, -1, axis=0)) @ f_normal > 0.0)
-        # area and centroid of the loop projected onto its mean plane,
-        # by the 3D shoelace formula and a fan of triangles
+        # area of the loop projected onto its mean plane, by the 3D
+        # shoelace formula
         flat = rel - np.outer(rel @ normal, normal)
         assert abs(np.linalg.norm(_newell(flat)) - f_area) <= 1e-13
-        fan = np.cross(flat[1:-1] - flat[0], flat[2:] - flat[0]) @ normal
-        tri_centroids = (flat[0] + flat[1:-1] + flat[2:]) / 3.0
-        centroid = fan @ tri_centroids / fan.sum() + P.vertices[list(loop)].mean(axis=0)
-        assert np.max(np.abs(centroid - f_centroid)) <= 1e-13
         assert abs(np.max(P.vertices[list(loop)] @ f_normal) - f_offset) <= 1e-13
 
 
@@ -179,7 +174,7 @@ def test_hull_batches_facet_geometry_by_vertex_count(monkeypatch, newton_boundar
 
     monkeypatch.setattr(convex, "_orthobasis", counting)
     P = convex_hull_3d(newton_boundaries[0])
-    assert len(calls) == len({len(loop) for loop in P.facet_loops()})
+    assert len(calls) == len({len(loop) for loop in P.loops})
     assert sum(calls) == P.n_facets
 
 
@@ -241,22 +236,22 @@ def test_polytope_transforms():
     Q = P.translated(shift)
     assert not Q.contains_origin()
     assert abs(volume(Q) - volume(P)) < 1e-12
-    assert_allclose(Q.facet_offsets(), P.facet_offsets() + P.facet_normals() @ shift,
-                    atol=1e-14)
-    assert_allclose(Q.facet_centroids(), P.facet_centroids() + shift, atol=1e-14)
-    assert Q.facet_loops() == P.facet_loops()
+    assert_allclose(Q.offsets, P.offsets + P.normals @ shift, atol=1e-14)
+    assert_allclose(Q.centroid, P.centroid + shift, atol=1e-14)
+    assert Q.loops == P.loops
     theta = 0.7
     R = np.array([[np.cos(theta), -np.sin(theta), 0.0],
                   [np.sin(theta), np.cos(theta), 0.0],
                   [0.0, 0.0, 1.0]])
     PR = P.rotated(R)
     assert abs(volume(PR) - volume(P)) < 1e-12
-    assert_allclose(PR.facet_normals(), P.facet_normals() @ R.T, atol=1e-15)
-    assert np.array_equal(PR.facet_areas(), P.facet_areas())
-    # the facet arrays are shared read-only data, not copies to edit
-    for arr in (P.facet_normals(), P.facet_offsets(), P.facet_areas(),
-                P.facet_centroids(), PR.vertices):
+    assert_allclose(PR.normals, P.normals @ R.T, atol=1e-15)
+    assert np.array_equal(PR.areas, P.areas)
+    # the facet arrays are read-only data, not copies to edit
+    for arr in (P.normals, P.offsets, P.areas, PR.vertices, PR.centroid):
         assert not arr.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        P.normals = PR.normals
     with pytest.raises(InvalidParameter):
         P.rotated(2.0 * R)  # not orthogonal
     with pytest.raises(InvalidParameter):
@@ -467,7 +462,7 @@ def test_polytope_from_support_sphere():
     P = polytope_from_support(ball)
     assert P.n_vertices == grid.n_nodes
     # inscribed: support in every facet normal direction stays below 1
-    assert np.max(P.facet_offsets()) <= 1.0 + 1e-12
+    assert np.max(P.offsets) <= 1.0 + 1e-12
     # volume deficit of the inscribed polytope at this resolution
     deficit = 4.0 * np.pi / 3.0 - volume(P)
     assert 0.0 < deficit < 0.1
@@ -543,8 +538,8 @@ def test_ellipsoid_random_hulls_sandwich():
         worst_excess = max(worst_excess, excess)
         # shrinking about the center by the dimension factor 3 lands inside
         small = E.scaled(1.0 / 3.0)
-        inner_support = small.support(P.facet_normals())
-        assert np.all(inner_support <= P.facet_offsets() + 1e-6)
+        inner_support = small.support(P.normals)
+        assert np.all(inner_support <= P.offsets + 1e-6)
     assert worst_excess < 1e-5
 
 

@@ -215,7 +215,22 @@ def test_report_csv_schema(grid):
 def test_report_aggregates_consistent(grid):
     spec = ExperimentSpec(kind="bound", count=2, seed=3)
     report = run_experiment(spec)
-    assert report.aggregates == report.recompute_aggregates()
+    recs = report.records
+    assert not any(r["_failures"] for r in recs)
+    assert report.aggregates == {
+        "n_samples": 2,
+        "n_failures": 0,
+        "c_lambda": max(r["h_sup"] for r in recs),
+        "min_h": min(r["h_min"] for r in recs),
+        "max_ratio_32": max(r["ratio_32"] for r in recs),
+        "max_ratio_21": max(r["ratio_21"] for r in recs),
+    }
+    # a failed sample is counted and left out of the suite's extremes
+    failed = {**recs[0], "h_sup": 99.0, "_failures": [("solve", "ConvergenceFailure")]}
+    again = ExperimentReport(spec, [failed, recs[1]])
+    assert again.aggregates["n_samples"] == 2
+    assert again.aggregates["n_failures"] == 1
+    assert again.aggregates["c_lambda"] == recs[1]["h_sup"]
 
 
 def test_report_deterministic(grid):

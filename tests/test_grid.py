@@ -1,6 +1,9 @@
 """Spectral grid tests: quadrature, transforms, derivatives, serialization."""
 
+import dataclasses
+import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +279,28 @@ def test_only_the_grid_module_reads_the_ring_tables():
     assert readers == []
 
 
+def test_every_public_member_of_an_exported_class_is_named():
+    # dead-API guard: each public method, property and dataclass field of a
+    # class that the package exports is named in src/, tests/ or the README
+    # somewhere besides its own definition
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src").rglob("*.py")), *sorted((root / "tests").rglob("*.py")),
+             root / "README.md"]
+    corpus = "\n".join(path.read_text() for path in paths)
+    named = Counter(re.findall(r"\w+", corpus))
+    defined = Counter(a or b for a, b in re.findall(r"(?m)^\s*(?:def (\w+)|(\w+)\s*:)", corpus))
+    unnamed = []
+    for cls_name, cls in sorted(vars(logmink).items()):
+        if cls_name.startswith("_") or not inspect.isclass(cls):
+            continue
+        members = {name for name in vars(cls) if not name.startswith("_")}
+        if dataclasses.is_dataclass(cls):
+            members |= {f.name for f in dataclasses.fields(cls)}
+        unnamed += [f"{cls_name}.{name}" for name in sorted(members)
+                    if named[name] <= defined[name]]
+    assert "Polytope" in vars(logmink) and unnamed == []
+
+
 def test_evaluate_harmonics_off_grid(grid):
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[lm_index(1, 0)] = 1.0
@@ -440,3 +465,43 @@ def test_scalar_field_validation(grid):
         ScalarField(grid, np.ones(7))
     with pytest.raises(InvalidParameter):
         HarmonicCoeffs(16, np.ones(12))
+
+
+def _sphere_coeffs(grid):
+    coeffs = np.zeros(grid.n_coeffs)
+    coeffs[0] = np.sqrt(4.0 * np.pi)
+    return coeffs
+
+
+def _cube_polytope(vertices):
+    P = logmink.convex_hull_3d(vertices)
+    return logmink.Polytope(vertices, P.normals, P.offsets, P.areas, P.loops, P.centroid)
+
+
+# value type -> (the caller's array, the constructor given it, the attribute
+# that holds the instance's copy)
+_VALUE_TYPES = {
+    "ScalarField": (lambda g: np.ones(g.n_nodes), ScalarField, "values"),
+    "HarmonicCoeffs": (lambda g: np.ones(g.n_coeffs),
+                       lambda g, a: HarmonicCoeffs(g.L, a), "values"),
+    "SupportFunction": (_sphere_coeffs, logmink.SupportFunction, "coeffs"),
+    "DiscreteMeasure": (lambda g: np.eye(3),
+                        lambda g, a: logmink.DiscreteMeasure(a, np.ones(3)), "vectors"),
+    "Ellipsoid": (lambda g: np.eye(3),
+                  lambda g, a: logmink.Ellipsoid(np.zeros(3), np.ones(3), a), "axes"),
+    "Polytope": (lambda g: np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0)
+                                     for z in (-1.0, 1.0)]),
+                 lambda g, a: _cube_polytope(a), "vertices"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALUE_TYPES))
+def test_value_types_copy_the_arrays_they_are_given(grid, kind):
+    make, build, attribute = _VALUE_TYPES[kind]
+    given = make(grid)
+    assert given.dtype == np.float64 and given.flags.writeable
+    before = given.copy()
+    held = getattr(build(grid, given), attribute)
+    given[0] = 0.5  # the caller's array stays writable
+    assert np.array_equal(held, before)
+    assert not held.flags.writeable

