@@ -29,10 +29,8 @@ from .grid import (
     SphericalGrid,
     analyze,
     build_grid,
-    covariant_hessian,
     harmonic_field,
     integrate,
-    laplace_beltrami,
     synthesize,
     tangential_gradient,
 )
@@ -41,7 +39,6 @@ from .solver import (
     NewtonResult,
     SolveOptions,
     SupportFunction,
-    check_convexity,
     holder_proxy_seminorm,
     linearized_operator,
     ma_residual,
@@ -63,7 +60,6 @@ from .convex import (
     polytope_from_obj,
     polytope_from_support,
     polytope_to_obj,
-    support_field,
     surface_area_measure,
     volume,
     volume_from_support,

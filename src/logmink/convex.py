@@ -37,18 +37,16 @@ from .errors import (
 )
 from .grid import (
     ScalarField,
-    SphericalGrid,
     _csv_cell,
     _csv_rows,
     _csv_text,
     _read_only,
     _require_integer,
     _require_positive_finite,
-    integrate,
     require_same_grid,
     tangential_gradient,
 )
-from .solver import SupportFunction
+from .solver import SupportFunction, _mass
 
 _MERGE_TOL = 1e-9          # facets merge when 1 - n_i . n_j <= this
 _VERTEX_SLACK = 1e-9       # feasibility slack nu . x <= h + slack
@@ -471,11 +469,6 @@ def convex_hull_3d(points) -> Polytope:
                     vertices.mean(axis=0))
 
 
-def support_field(P: Polytope, grid: SphericalGrid) -> ScalarField:
-    """Sample h_P at all grid nodes."""
-    return ScalarField(grid, P.support(grid.nodes))
-
-
 def surface_area_measure(P: Polytope) -> DiscreteMeasure:
     """One atom per facet at its outward normal, weighted by facet area."""
     return DiscreteMeasure(P.normals, P.areas)
@@ -506,20 +499,15 @@ def volume(P: Polytope) -> float:
     return float(np.sum(heights * P.areas) / 3.0)
 
 
-def volume_from_support(h) -> float:
+def volume_from_support(h: SupportFunction) -> float:
     """Volume of the smooth body with support function h: (1/3) int h det W.
 
-    Accepts a certified :class:`SupportFunction` or a band-limited
-    :class:`ScalarField` (certified on the fly; non-convex data raises
-    :class:`ConvexityError`).
+    Takes a certified :class:`SupportFunction`; certify node values with
+    :meth:`SupportFunction.from_field` first.
     """
-    if isinstance(h, ScalarField):
-        h = SupportFunction.from_field(h)
     if not isinstance(h, SupportFunction):
-        raise InvalidParameter(
-            f"expected a SupportFunction or ScalarField, got {type(h).__name__}"
-        )
-    return float(integrate(ScalarField(h.grid, h.values * h.det_w)) / 3.0)
+        raise InvalidParameter(f"expected a SupportFunction, got {type(h).__name__}")
+    return _mass(h) / 3.0
 
 
 def hausdorff_distance(hK, hL) -> float:

@@ -29,14 +29,13 @@ class OriginNotContained(LogminkError, ValueError):
 class ConvexityError(LogminkError, RuntimeError):
     """A support function failed its convexity certificate.
 
-    Carries the index of the first offending grid node in ``node`` and the
-    minimal Hessian eigenvalue found there in ``eigenvalue``.
+    Carries the index of the first offending grid node in ``node``; the
+    message also states the offending value.
     """
 
-    def __init__(self, message, node=None, eigenvalue=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.eigenvalue = eigenvalue
 
 
 class ConvergenceFailure(LogminkError, RuntimeError):

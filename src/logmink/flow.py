@@ -66,6 +66,7 @@ from .solver import (
     SupportFunction,
     _aliasing_floor_note,
     _initial_iterate,
+    _mass,
     ma_residual,
 )
 
@@ -145,11 +146,6 @@ class FlowResult:
 
     def trace_csv(self) -> str:
         return _csv_text("t,volume,residual_sup,min_h", self.rows)
-
-
-def _mass(h: SupportFunction) -> float:
-    """The integral of h det W, three times the volume of the body."""
-    return float(h.grid.weights @ (h.values * h.det_w))
 
 
 def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,

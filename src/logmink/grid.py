@@ -47,7 +47,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -64,8 +64,6 @@ __all__ = [
     "integrate",
     "analyze",
     "synthesize",
-    "laplace_beltrami",
-    "covariant_hessian",
     "tangential_gradient",
     "harmonic_field",
     "evaluate_harmonics",
@@ -392,10 +390,13 @@ class SphericalGrid:
         return self._nodes(self._spec.Pm, coeffs)[0]
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
+        """Laplace-Beltrami operator: degree-l coefficients scale by -l(l+1)."""
         s = self._spec
         return self._nodes(s.Pm, s.lap_eig * self._analysis(values))[0]
 
     def hessian_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Covariant Hessian frame components (H11, H12, H22); the values are
+        analyzed once, so they are treated as band-limited."""
         h11, h12, h22 = self._nodes(self._spec.Hm, self._analysis(values), partners=(1,))
         return h11, h12, h22
 
@@ -560,30 +561,6 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphericalGrid) -> ScalarField:
     the grid's raises :class:`GridMismatch` (see :meth:`HarmonicCoeffs.embedded`).
     """
     return ScalarField(grid, grid.synthesize_coeffs(coeffs.embedded(grid.L).values))
-
-
-def laplace_beltrami(h: ScalarField) -> ScalarField:
-    """Laplace-Beltrami operator, spectrally exact on band-limited fields.
-
-    Acts by scaling the degree-l coefficients with ``-l(l+1)``.
-    """
-    return ScalarField(h.grid, h.grid.laplacian_values(h.values))
-
-
-def covariant_hessian(h: ScalarField) -> np.ndarray:
-    """Covariant Hessian of ``h`` in the per-node orthonormal frame.
-
-    Returns an ``(n_nodes, 2, 2)`` array of symmetric matrices whose trace
-    reproduces the Laplace-Beltrami operator.  The input is treated as
-    band-limited (it is analyzed once; derivatives act on the coefficients).
-    """
-    h11, h12, h22 = h.grid.hessian_components(h.values)
-    out = np.empty((h.grid.n_nodes, 2, 2))
-    out[:, 0, 0] = h11
-    out[:, 0, 1] = h12
-    out[:, 1, 0] = h12
-    out[:, 1, 1] = h22
-    return out
 
 
 def tangential_gradient(h: ScalarField) -> np.ndarray:

@@ -49,7 +49,6 @@ __all__ = [
     "NewtonResult",
     "ma_residual",
     "linearized_operator",
-    "check_convexity",
     "newton_solve",
     "holder_proxy_seminorm",
 ]
@@ -110,7 +109,6 @@ def _require_positive_definite(min_eig: np.ndarray) -> None:
             f"curvature matrix W is not positive definite at node {node} "
             f"(minimal eigenvalue {min_eig[node]:.3e})",
             node=node,
-            eigenvalue=float(min_eig[node]),
         )
 
 
@@ -378,6 +376,12 @@ def ma_residual(h: SupportFunction, f: DensityFunction) -> ScalarField:
     return ScalarField(h.grid, h.values * h.det_w - f.values_on(h.grid))
 
 
+def _mass(h: SupportFunction) -> float:
+    """The integral of h det W: the total mass of the body's cone-volume
+    measure, three times its volume."""
+    return float(h.grid.weights @ (h.values * h.det_w))
+
+
 def _linearization_fields(h: SupportFunction):
     """Node fields ``(det W + h (w11 + w22), h w22, -2 h w12, h w11)``: the
     linearization at ``h`` is ``c0 phi + c11 H11 phi + c12 H12 phi + c22 H22 phi``."""
@@ -396,17 +400,6 @@ def linearized_operator(h: SupportFunction, phi: ScalarField) -> ScalarField:
     c0, c11, c12, c22 = _linearization_fields(h)
     p11, p12, p22 = h.grid.hessian_components(phi.values)
     return ScalarField(h.grid, c0 * phi.values + c11 * p11 + c12 * p12 + c22 * p22)
-
-
-def check_convexity(field: ScalarField) -> tuple[np.ndarray, bool]:
-    """Minimal eigenvalue field of ``W = Hess h + h I`` and its positivity.
-
-    Returns ``(min_eig, ok)`` where ``ok`` also requires ``h > 0`` at every
-    node, so it is exactly the admissibility test of the solvers.
-    """
-    _, _, _, _, min_eig = _curvature_data(field.grid, field.values)
-    ok = bool(np.min(min_eig) > 0.0 and np.min(field.values) > 0.0)
-    return min_eig, ok
 
 
 def _aliasing_floor_note(nodal: float, projected: float, threshold: float,

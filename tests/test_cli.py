@@ -262,6 +262,10 @@ def test_infinite_tolerance_exits_2(tmp_path, capsys):
     "harmonics:[(400,1,0.1)]",      # a degree above the grid's bandwidth
     "harmonics:[(1.5,0,0.1)]",      # a fractional degree
     "const:1e308",                  # a zonal coefficient that overflows
+    "1.0",                          # no preset prefix
+    "foo:1",                        # an unknown preset
+    "harmonics:[(1,",               # a term list that does not parse
+    "random:1,2",                   # two of the three random parameters
 ])
 def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     code = main(["solve", "--f", preset, "--out", str(tmp_path)])
@@ -277,6 +281,8 @@ def test_malformed_density_preset_exits_2(tmp_path, capsys, preset):
     "const:nan",                    # not finite
     "const:inf",                    # not finite
     "const:1e308",                  # a zonal coefficient that overflows
+    "sphere:1",                     # a preset other than const
+    "const:",                       # no value
 ])
 def test_malformed_h0_preset_exits_2(tmp_path, capsys, preset):
     code = main(["solve", "--f", "const:1.0", "--h0", preset, "--out", str(tmp_path)])
@@ -292,7 +298,14 @@ def test_malformed_h0_preset_exits_2(tmp_path, capsys, preset):
     ["solve", "--f", "random:-1,0.05,2"],
     ["experiment", "--kind", "uniqueness", "--inits", "const:abc"],
     ["flow", "--f", "const:1.0", "--snapshot-every", "-2"],
-], ids=["negative-seed", "negative-density-seed", "bad-init", "negative-snapshot"])
+    ["measure"],
+    ["john"],
+    ["diag"],
+    ["experiment"],
+    ["solve"],
+], ids=["negative-seed", "negative-density-seed", "bad-init", "negative-snapshot",
+        "measure-without-obj", "john-without-obj", "diag-without-obj",
+        "experiment-without-kind", "solve-without-density"])
 def test_bad_arguments_exit_2(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -29,7 +29,6 @@ from logmink.convex import (
     polytope_from_obj,
     polytope_from_support,
     polytope_to_obj,
-    support_field,
     surface_area_measure,
     volume,
     volume_from_support,
@@ -274,14 +273,6 @@ def test_cube_support_values():
     assert vals[0] + vals[1] > 0.0
 
 
-def test_support_field_matches_pointwise():
-    grid = build_grid(8)
-    P = convex_hull_3d(random_cloud(3))
-    field = support_field(P, grid)
-    direct = P.support(grid.nodes)
-    assert_allclose(field.values, direct, atol=0.0)
-
-
 # The blocked maximum equals the dense reduction bit for bit when BLAS runs
 # on one thread; a threaded GEMM splits each product among its threads by
 # the product's size, so the comparison runs in a single-threaded child.
@@ -433,12 +424,12 @@ def test_volume_translation_invariance():
     assert abs(volume_from_support(shifted) - 4.0 * np.pi / 3.0) < 1e-10
 
 
-def test_volume_from_support_accepts_field():
+def test_volume_from_support_takes_only_a_support_function():
+    # node values are certified by SupportFunction.from_field, not here
     grid = build_grid(16)
-    field = ScalarField(grid, np.full(grid.n_nodes, 1.0))
-    assert abs(volume_from_support(field) - 4.0 * np.pi / 3.0) < 1e-10
-    with pytest.raises(InvalidParameter):
-        volume_from_support(np.ones(grid.n_nodes))
+    for h in (ScalarField(grid, np.full(grid.n_nodes, 1.0)), np.ones(grid.n_nodes)):
+        with pytest.raises(InvalidParameter):
+            volume_from_support(h)
 
 
 def test_hausdorff_distances():
@@ -447,7 +438,7 @@ def test_hausdorff_distances():
     assert hausdorff_distance(ball, ball) == 0.0
     two = SupportFunction.constant(grid, 2.0)
     assert abs(hausdorff_distance(ball, two) - 1.0) < 1e-14
-    cube_field = support_field(convex_hull_3d(cube_points()), grid)
+    cube_field = ScalarField(grid, convex_hull_3d(cube_points()).support(grid.nodes))
     d = hausdorff_distance(cube_field, ball)
     # true sup distance is sqrt(3) - 1, attained at the diagonals, which the
     # grid samples only approximately

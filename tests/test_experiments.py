@@ -183,6 +183,28 @@ def test_diagnostics_run_and_cap(grid, monkeypatch):
         run_experiment(spec)
 
 
+def test_failed_samples_write_their_rows(grid):
+    # the default tolerance 1e-10 lies below the aliasing floor of bandwidth
+    # 16 for these bound densities, so every solve fails, and an eps that no
+    # density inside (1/lam, lam) meets fails gen_density; each failed sample
+    # still writes its report.csv row, and a rerun writes the same bytes
+    cases = [
+        (ExperimentSpec("bound", count=3, eps=0.6, lam=4.0, L=16),
+         ("solve", "ConvergenceFailure: backtracking failed"),
+         [f"{i},{i},0.0,0.0,0,0.0,0.0,0.0,0.0,0.0" for i in range(3)]),
+        (ExperimentSpec("uniqueness", count=1, eps=1e6, lam=1.0001),
+         ("gen_density", "could not fit density"), ["0,0,0,5,0.0,0.0,0"]),
+    ]
+    for spec, (stage, message), rows in cases:
+        report = run_experiment(spec)
+        text = report.to_csv()
+        assert [line for line in text.splitlines()[2:] if not line.startswith("#")] == rows
+        for rec in report.records:
+            assert [(s, m[:len(message)]) for s, m in rec["_failures"]] == [(stage, message)]
+        assert report.aggregates["n_failures"] == len(rows)
+        assert run_experiment(spec).to_csv() == text
+
+
 def test_run_experiment_dispatch(grid):
     report = run_experiment(ExperimentSpec(kind="bound", count=1, seed=5))
     assert report.spec.kind == "bound"

@@ -1,5 +1,6 @@
 """Spectral grid tests: quadrature, transforms, derivatives, serialization."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -18,13 +19,11 @@ from logmink.grid import (
     ScalarField,
     analyze,
     build_grid,
-    covariant_hessian,
     evaluate_harmonics,
     field_from_csv,
     field_to_csv,
     harmonic_field,
     integrate,
-    laplace_beltrami,
     lm_index,
     synthesize,
     tangential_gradient,
@@ -111,16 +110,16 @@ def test_lower_bandwidth_coeffs_embed(grid):
 def test_laplacian_eigenvalues(grid):
     for l, m in [(0, 0), (1, 0), (2, 1), (5, 3), (9, -7), (16, 16)]:
         y = harmonic_field(grid, l, m)
-        lap = laplace_beltrami(y)
-        assert_allclose(lap.values, -l * (l + 1) * y.values, atol=5e-10)
+        lap = grid.laplacian_values(y.values)
+        assert_allclose(lap, -l * (l + 1) * y.values, atol=5e-10)
 
 
 def test_degree_one_hessian_identity(grid):
     # Hess(v . u) + (v . u) I = 0 for every linear height function
     for axis in range(3):
         field = ScalarField(grid, grid.nodes[:, axis])
-        H = covariant_hessian(field)
-        W = H + field.values[:, None, None] * np.eye(2)[None, :, :]
+        h11, h12, h22 = grid.hessian_components(field.values)
+        W = np.stack([h11 + field.values, h12, h22 + field.values])
         assert np.max(np.abs(W)) < 5e-12
 
 
@@ -129,9 +128,8 @@ def test_hessian_trace_is_laplacian(grid):
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[: lm_index(6, 6) + 1] = rng.standard_normal(lm_index(6, 6) + 1)
     field = synthesize(HarmonicCoeffs(16, coeffs), grid)
-    H = covariant_hessian(field)
-    lap = laplace_beltrami(field)
-    assert_allclose(H[:, 0, 0] + H[:, 1, 1], lap.values, atol=1e-9)
+    h11, _, h22 = grid.hessian_components(field.values)
+    assert_allclose(h11 + h22, grid.laplacian_values(field.values), atol=1e-9)
 
 
 def test_gradient_matches_finite_difference(grid):
@@ -172,9 +170,9 @@ def test_hessian_and_gradient_match_finite_differences():
     f_tp = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * step**2)
     st, cot = np.sin(t), np.cos(t) / np.sin(t)
 
-    H = covariant_hessian(field)[keep]
-    for got, want in [(H[:, 0, 0], f_tt), (H[:, 0, 1], (f_tp - cot * f_p) / st),
-                      (H[:, 1, 1], f_pp / st**2 + cot * f_t)]:
+    h11, h12, h22 = (H[keep] for H in grid.hessian_components(field.values))
+    for got, want in [(h11, f_tt), (h12, (f_tp - cot * f_p) / st),
+                      (h22, f_pp / st**2 + cot * f_t)]:
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
     grad = tangential_gradient(field)[keep]
     for got, want in [(np.einsum("ij,ij->i", grad, grid.e_theta[keep]), f_t),
@@ -299,6 +297,71 @@ def test_every_public_member_of_an_exported_class_is_named():
         unnamed += [f"{cls_name}.{name}" for name in sorted(members)
                     if named[name] <= defined[name]]
     assert "Polytope" in vars(logmink) and unnamed == []
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_MODULES = [path for path in sorted((_ROOT / "src" / "logmink").glob("*.py"))
+            if path.name != "__init__.py"]
+
+
+def _loads(paths, *kinds):
+    """Names loaded in the Python files by ast nodes of the given kinds: the
+    ``id`` of an ``ast.Name``, the ``attr`` of an ``ast.Attribute``."""
+    loads = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return loads
+
+
+def test_every_exported_name_is_read_or_documented():
+    # dead-API guard: each name logmink/__init__.py exports is read by the
+    # package's own modules (docstrings do not count) or named in the README,
+    # and each attribute an exported class sets in __init__ is read as .name
+    # in src/, tests/, perfbench/ or the README
+    init = ast.parse((_ROOT / "src" / "logmink" / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readme = (_ROOT / "README.md").read_text()
+    reads = _loads(_MODULES, ast.Name, ast.Attribute)
+    unread = [name for name in exported
+              if name not in reads and not re.search(rf"\b{name}\b", readme)]
+    attribute_reads = _loads([*(_ROOT / "src").rglob("*.py"), *(_ROOT / "tests").rglob("*.py"),
+                              *(_ROOT / "perfbench").rglob("*.py")], ast.Attribute)
+    attribute_reads |= set(re.findall(r"\.(\w+)", readme))
+    unread_attributes = []
+    for path in _MODULES:
+        for cls in ast.parse(path.read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for init_def in cls.body:
+                if isinstance(init_def, ast.FunctionDef) and init_def.name == "__init__":
+                    unread_attributes += [
+                        f"{cls.name}.{node.attr}" for node in ast.walk(init_def)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in attribute_reads]
+    assert "volume_from_support" in exported
+    assert (unread, unread_attributes) == ([], [])
+
+
+def test_every_module_level_import_is_used():
+    # each name a package module imports at module level is loaded in that
+    # module; the re-exports of __init__.py and __future__ imports are exempt
+    unused = []
+    for path in _MODULES:
+        tree = ast.parse(path.read_text())
+        loaded = _loads([path], ast.Name)
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name not in loaded]
+    assert len(_MODULES) > 1 and unused == []
 
 
 def test_evaluate_harmonics_off_grid(grid):

@@ -24,7 +24,6 @@ from logmink.solver import (
     NewtonResult,
     SolveOptions,
     SupportFunction,
-    check_convexity,
     holder_proxy_seminorm,
     linearized_operator,
     _aliasing_floor_note,
@@ -161,17 +160,16 @@ def test_from_field_rejects_aliased_values(grid):
         SupportFunction.from_field(field)
 
 
-def test_check_convexity_flags(grid):
+def test_from_field_rejects_positive_nonconvex_field(grid):
     good = SupportFunction.constant(grid, 1.0).field
-    _, ok = check_convexity(good)
-    assert ok
+    assert SupportFunction.from_field(good).min_eig_w.min() > 0.0
     c = np.zeros(grid.n_coeffs)
     c[0] = np.sqrt(4.0 * np.pi)
     c[lm_index(4, 0)] = 0.8
     bad = synthesize(HarmonicCoeffs(16, c), grid)
-    min_eig, ok = check_convexity(bad)
-    assert not ok
-    assert np.min(min_eig) <= 0.0
+    assert bad.values.min() > 0.0
+    with pytest.raises(ConvexityError, match="not positive definite"):
+        SupportFunction.from_field(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +277,11 @@ def admissible_pair(seed, grid):
     while True:
         trial = c.copy()
         trial[1:lm_index(4, 4) + 1] = bump
-        values = grid.synthesize_coeffs(trial)
-        min_eig, ok = check_convexity(ScalarField(grid, values))
-        if ok and values.min() > 0.2 and min_eig.min() > 0.2:
+        try:
             h = SupportFunction(grid, trial)
+        except ConvexityError:
+            h = None
+        if h is not None and h.h_min() > 0.2 and h.min_eig_w.min() > 0.2:
             break
         bump *= 0.7
     d = rng.standard_normal(grid.n_coeffs)
@@ -519,6 +518,31 @@ def test_newton_smooth_perturbation_floor(grid):
     assert result.residual_sup <= 1e-7
     res = ma_residual(result.h, f)
     assert np.max(np.abs(res.values)) <= 1e-7
+
+
+def test_newton_line_search_rejects_a_nonconvex_candidate(monkeypatch):
+    # from the small sphere h = 0.5 the full first step on a strongly varying
+    # density loses convexity; the line search rejects it, halves the step
+    # and still converges
+    grid = build_grid(24)
+    f = gen_density(0, 0.6, 4.0, grid=grid)
+    h0 = SupportFunction.constant(grid, 0.5)
+    rejected = []
+    certify = solver._require_positive_definite
+
+    def counted(min_eig):
+        try:
+            certify(min_eig)
+        except ConvexityError:
+            rejected.append(float(np.min(min_eig)))
+            raise
+
+    monkeypatch.setattr(solver, "_require_positive_definite", counted)
+    result = newton_solve(f, h0=h0, opts=SolveOptions(1e-6))
+    assert len(rejected) == 1 and rejected[0] <= 0.0
+    assert result.rows[1][4] == 0.5
+    assert result.iterations == 5
+    assert result.residual_sup <= 1e-6 * f.mean()
 
 
 def test_newton_unreachable_tolerance_fails_loudly(grid, monkeypatch):
