@@ -70,11 +70,7 @@ _BASIS[np.arange(len(_TRIU[0])), _TRIU[1], _TRIU[0]] = 1.0
 
 
 def _as_points(points, minimum: int) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise InvalidParameter(f"expected an (m, 3) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidParameter("points contain non-finite entries")
+    pts = _read_only(points, "points", (None, 3))
     if pts.shape[0] < minimum:
         raise InvalidParameter(f"need at least {minimum} points, got {pts.shape[0]}")
     return pts
@@ -192,29 +188,15 @@ class Polytope:
         return replace(self, vertices=self.vertices @ R.T,
                        normals=self.normals @ R.T, centroid=R @ self.centroid)
 
-    def __repr__(self) -> str:
-        return (f"Polytope(n_vertices={self.n_vertices}, "
-                f"n_facets={self.n_facets})")
-
 
 class DiscreteMeasure:
     """Finite nonnegative measure on the sphere: one or more unit atoms with weights."""
 
     def __init__(self, vectors: np.ndarray, weights: np.ndarray):
-        vectors = _read_only(vectors)
-        weights = _read_only(weights)
-        if vectors.ndim != 2 or vectors.shape[1] != 3:
-            raise InvalidParameter(
-                f"atom vectors must form a (k, 3) array, got shape {vectors.shape}"
-            )
-        if weights.shape != (vectors.shape[0],):
-            raise InvalidParameter(
-                f"got {vectors.shape[0]} atoms but weight shape {weights.shape}"
-            )
+        vectors = _read_only(vectors, "atom vectors", (None, 3))
+        weights = _read_only(weights, "atom weights", (vectors.shape[0],))
         if vectors.shape[0] == 0:
             raise InvalidParameter("a measure needs at least one atom")
-        if not (np.all(np.isfinite(vectors)) and np.all(np.isfinite(weights))):
-            raise InvalidParameter("measure data contains non-finite entries")
         norms = np.linalg.norm(vectors, axis=1)
         if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
             bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -252,21 +234,14 @@ class DiscreteMeasure:
         order = np.lexsort((self.vectors[:, 2], self.vectors[:, 1], self.vectors[:, 0]))
         return DiscreteMeasure(self.vectors[order], self.weights[order])
 
-    def __repr__(self) -> str:
-        return f"DiscreteMeasure(n_atoms={self.n_atoms}, total={self.total():.6g})"
-
 
 class Ellipsoid:
     """Solid ellipsoid: center, ascending radii, matching orthonormal axes."""
 
     def __init__(self, center: np.ndarray, radii: np.ndarray, axes: np.ndarray):
-        center = _read_only(center)
-        radii = _read_only(radii)
-        axes = _read_only(axes)
-        if center.shape != (3,) or radii.shape != (3,) or axes.shape != (3, 3):
-            raise InvalidParameter("ellipsoid needs center (3,), radii (3,), axes (3, 3)")
-        if not all(np.all(np.isfinite(arr)) for arr in (center, radii, axes)):
-            raise InvalidParameter("ellipsoid data contains non-finite entries")
+        center = _read_only(center, "ellipsoid center", (3,))
+        radii = _read_only(radii, "ellipsoid radii", (3,))
+        axes = _read_only(axes, "ellipsoid axes", (3, 3))
         if np.any(radii <= 0.0):
             raise InvalidParameter(f"radii must be positive, got {radii}")
         if np.any(np.diff(radii) < 0.0):
@@ -312,10 +287,6 @@ class Ellipsoid:
         with np.errstate(over="ignore"):
             radii = self.radii * factor
         return Ellipsoid(self.center, radii, self.axes)
-
-    def __repr__(self) -> str:
-        r = ", ".join(f"{x:.4g}" for x in self.radii)
-        return f"Ellipsoid(radii=({r}))"
 
 
 @dataclass(frozen=True)
@@ -515,21 +486,16 @@ def hausdorff_distance(hK, hL) -> float:
 
     Arguments may be :class:`SupportFunction` or plain :class:`ScalarField`
     (support values of a non-smooth body such as a polytope are fields, not
-    certifiable support functions).  Both must live on the same grid.
+    certifiable support functions); both carry ``grid`` and ``values``.
+    Both must live on the same grid.
     """
-    fields = []
     for arg in (hK, hL):
-        if isinstance(arg, SupportFunction):
-            fields.append(arg.field)
-        elif isinstance(arg, ScalarField):
-            fields.append(arg)
-        else:
+        if not isinstance(arg, (SupportFunction, ScalarField)):
             raise InvalidParameter(
                 f"expected SupportFunction or ScalarField, got {type(arg).__name__}"
             )
-    a, b = fields
-    require_same_grid(a.grid, b.grid, "hausdorff_distance arguments")
-    return float(np.max(np.abs(a.values - b.values)))
+    require_same_grid(hK.grid, hL.grid, "hausdorff_distance arguments")
+    return float(np.max(np.abs(hK.values - hL.values)))
 
 
 def polytope_from_support(h: SupportFunction) -> Polytope:

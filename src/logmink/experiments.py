@@ -110,10 +110,6 @@ class ExperimentReport:
         tail = [f"aggregate {k}={_csv_cell(v)}" for k, v in sorted(self.aggregates.items())]
         return _csv_text(",".join(self.columns), rows, [f"spec: {self.spec.describe()}"], tail)
 
-    def __repr__(self) -> str:
-        return (f"ExperimentReport(kind={self.spec.kind!r}, "
-                f"n_samples={len(self.records)}, aggregates={self.aggregates})")
-
 
 def _require_density_parameters(seed: int, eps: float, lam: float) -> None:
     """The parameter rule of :func:`gen_density`, which every spec also meets."""
@@ -239,9 +235,10 @@ def _uniqueness_record(spec: ExperimentSpec, grid: SphericalGrid, index: int,
     try:
         f = gen_density(seed, spec.eps, spec.lam, grid=grid)
     except LogminkError as exc:
+        # every init fails with the density, so n_failures sums n_failed
         rec.update(n_solved=0, n_failed=len(spec.inits), max_pairwise=0.0,
                    worst_residual=0.0, max_iterations=0,
-                   _failures=[("gen_density", str(exc))], _solutions=[])
+                   _failures=[("gen_density", str(exc))] * len(spec.inits), _solutions=[])
         return rec
     solutions, failures = solve_with_inits(f, spec.inits, grid, seed, solve_opts)
     pairwise = 0.0

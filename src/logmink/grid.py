@@ -108,13 +108,24 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
-def _read_only(values) -> np.ndarray:
+def _read_only(values, name: str | None = None, shape: tuple | None = None) -> np.ndarray:
     """The one rule for a value type's arrays: a read-only float copy.
 
     Copying first keeps the caller's array writable and the instance's
-    array unchanged by later writes to it.
+    array unchanged by later writes to it.  Given a ``name`` and a
+    ``shape`` (``None`` for a free axis), the copy must have that shape and
+    finite entries, or InvalidParameter names the array.  A fully given
+    shape costs one tuple comparison.
     """
     out = np.array(values, dtype=float)
+    if name is not None:
+        if out.shape != shape and not (
+                out.ndim == len(shape)
+                and all(want in (None, got) for want, got in zip(shape, out.shape))):
+            expected = str(shape).replace("None", "k")
+            raise InvalidParameter(f"{name} must have shape {expected}, got shape {out.shape}")
+        if not np.isfinite(out).all():
+            raise InvalidParameter(f"non-finite entries in {name}")
     out.setflags(write=False)
     return out
 
@@ -450,9 +461,6 @@ class SphericalGrid:
         """Solve ``(1 - s Laplacian) x = coeffs`` in harmonic space."""
         return coeffs / (1.0 - s * self._spec.lap_eig)
 
-    def __repr__(self) -> str:
-        return f"SphericalGrid(L={self.L}, nodes={self.n_nodes})"
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -462,14 +470,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _read_only(self.values)
-        if values.shape != (self.grid.n_nodes,):
-            raise InvalidParameter(
-                f"field needs {self.grid.n_nodes} node values, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameter("field values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values",
+                           _read_only(self.values, "field values", (self.grid.n_nodes,)))
 
 
 @dataclass(frozen=True)
@@ -487,15 +489,8 @@ class HarmonicCoeffs:
     def __post_init__(self):
         if self.L < 0:
             raise InvalidParameter("bandwidth must be nonnegative")
-        values = _read_only(self.values)
-        if values.shape != (coeff_count(self.L),):
-            raise InvalidParameter(
-                f"bandwidth {self.L} needs {coeff_count(self.L)} coefficients, "
-                f"got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidParameter("coefficients must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(
+            self.values, f"coefficients of bandwidth {self.L}", (coeff_count(self.L),)))
 
     def embedded(self, L: int) -> "HarmonicCoeffs":
         """Zero-pad to bandwidth ``L >= self.L`` (see :func:`_require_fits`)."""

@@ -205,10 +205,6 @@ class SupportFunction:
     def h_sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def __repr__(self) -> str:
-        return (f"SupportFunction(L={self.grid.L}, h_min={self.h_min():.4g}, "
-                f"h_sup={self.h_sup():.4g})")
-
 
 class DensityFunction:
     """Positive density on the sphere, stored as harmonic coefficients.
@@ -245,9 +241,8 @@ class DensityFunction:
         return cls(HarmonicCoeffs(0, c), value, value)
 
     @classmethod
-    def from_harmonics(cls, terms, base: float = 1.0,
-                       grid: SphericalGrid | None = None) -> "DensityFunction":
-        """Density ``base + sum amp * Y_lm / sup|Y_lm|``.
+    def from_harmonics(cls, terms, grid: SphericalGrid | None = None) -> "DensityFunction":
+        """Density ``1 + sum amp * Y_lm / sup|Y_lm|``.
 
         Each harmonic is scaled to unit sup-norm over the whole sphere (not
         just the grid nodes) before its amplitude is applied, so
@@ -271,7 +266,7 @@ class DensityFunction:
         c = np.zeros(coeff_count(Lmax))
         for l, m, amp in terms:
             c[lm_index(l, m)] += amp / _harmonic_sup(l, m)
-        c[0] += base * np.sqrt(4.0 * np.pi)
+        c[0] += np.sqrt(4.0 * np.pi)
         coeffs = HarmonicCoeffs(Lmax, c)
         vals = grid.synthesize_coeffs(coeffs.embedded(grid.L).values)
         lo, hi = float(np.min(vals)), float(np.max(vals))
@@ -288,10 +283,6 @@ class DensityFunction:
     def mean(self) -> float:
         """Average of f over the sphere (from the zonal coefficient)."""
         return float(self.coeffs.values[0]) / np.sqrt(4.0 * np.pi)
-
-    def __repr__(self) -> str:
-        return (f"DensityFunction(L={self.coeffs.L}, bounds=({self.lam_lo:.4g}, "
-                f"{self.lam_hi:.4g}))")
 
 
 def holder_proxy_seminorm(field: ScalarField, alpha: float = 0.5) -> float:

@@ -78,7 +78,7 @@ def test_criterion_02_translated_balls():
     worst = 0.0
     for speed in (0.05, 0.1, 0.3):
         v = speed * np.array([0.0, 0.0, 1.0])
-        f = DensityFunction.from_harmonics([(1, 0, speed)], base=1.0, grid=GRID)
+        f = DensityFunction.from_harmonics([(1, 0, speed)], grid=GRID)
         result = newton_solve(f, h0=SupportFunction.constant(GRID, 1.0))
         exact = 1.0 + GRID.nodes @ v
         err = float(np.max(np.abs(result.h.values - exact)))

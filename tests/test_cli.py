@@ -2,8 +2,12 @@
 
 import argparse
 import glob
+import importlib
 import os
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,37 @@ def test_write_atomic(tmp_path):
     write_atomic(str(target), "replaced")
     assert target.read_text() == "replaced"
     assert glob.glob(str(tmp_path / "deep" / "*.tmp")) == []
+
+
+def test_failed_replace_leaves_no_tmp_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(PermissionError):
+        write_atomic(str(tmp_path / "file.txt"), "payload")
+    assert os.listdir(tmp_path) == []
+    code = main(["solve", "--f", "const:1.0", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "io error: [Errno 13] Permission denied" in err
+    assert os.listdir(tmp_path / "run") == []
+
+
+def test_console_script_and_module_run_call_main(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["logmink"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    # `python -m logmink.cli` exits with main's code; run as __main__ afresh
+    monkeypatch.delitem(sys.modules, "logmink.cli")
+    monkeypatch.setattr(sys, "argv", ["logmink", "solve"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("logmink.cli", run_name="__main__")
+    assert exit_.value.code == 2 == main(["solve"])
+    assert capsys.readouterr().err.count("config error: no density given") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +516,25 @@ def test_flow_aliasing_floor_hint_names_only_existing_flags(tmp_path, capsys):
     flags = re.findall(r"--[A-Za-z][A-Za-z-]*", err)
     assert "--grid-L" in flags
     assert all(flag in usage for flag in flags)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v 0 0 0\nv 1 0\n", "OBJ line 2: expected 'v x y z'"),
+    ("# a body\nv 0 0 x\n", "OBJ line 2: bad coordinate"),
+    ("v 0 0 0\n\nf 1 1\n", "OBJ line 3: face needs >= 3 indices"),
+    ("v 0 0 0\nf 1 1 a\n", "OBJ line 2: bad face index"),
+    ("# faces only\n\nf 1 2 3\n", "OBJ text contains no vertices"),
+    ("v 0 0 0\nf 1 1 9\n", "OBJ face index 9 out of range 1..1"),
+], ids=["short-vertex", "bad-coordinate", "short-face", "bad-index", "no-vertices",
+        "index-range"])
+def test_malformed_obj_exits_2(tmp_path, capsys, text, message):
+    obj = tmp_path / "body.obj"
+    obj.write_text(text)
+    code = main(["measure", "--obj", str(obj), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_origin_outside_body_exits_1(tmp_path, capsys):

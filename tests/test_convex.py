@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 import logmink
 from logmink import convex
@@ -224,8 +224,12 @@ def test_hull_rejects_degenerate():
     flat = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
     with pytest.raises(DimensionDeficient):
         convex_hull_3d(flat)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="need at least 4 points"):
         convex_hull_3d(np.zeros((3, 3)))
+    with pytest.raises(InvalidParameter, match=r"points must have shape \(k, 3\)"):
+        convex_hull_3d(np.zeros((4, 2)))
+    with pytest.raises(InvalidParameter, match="non-finite entries in points"):
+        convex_hull_3d(np.vstack((cube_points(), [[np.inf, 0.0, 0.0]])))
 
 
 def test_polytope_transforms():
@@ -255,6 +259,10 @@ def test_polytope_transforms():
         P.rotated(2.0 * R)  # not orthogonal
     with pytest.raises(InvalidParameter):
         P.rotated(np.diag([1.0, 1.0, -1.0]))  # reflection
+    with pytest.raises(InvalidParameter, match=r"shift must be a 3-vector, got shape \(2,\)"):
+        P.translated([1.0, 2.0])
+    with pytest.raises(InvalidParameter, match=r"rotation must be a 3x3 matrix, got shape \(2, 2\)"):
+        P.rotated(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +453,16 @@ def test_hausdorff_distances():
     assert np.sqrt(3.0) - 1.0 - 0.02 < d <= np.sqrt(3.0) - 1.0 + 1e-12
     with pytest.raises(GridMismatch):
         hausdorff_distance(ball, SupportFunction.constant(build_grid(8), 1.0))
+    for args in ((ball, ball.values), (ball.values, cube_field)):
+        with pytest.raises(InvalidParameter,
+                           match="expected SupportFunction or ScalarField, got ndarray"):
+            hausdorff_distance(*args)
+
+
+def test_polytope_from_support_takes_only_a_support_function():
+    field = SupportFunction.constant(build_grid(8), 1.0).field
+    with pytest.raises(InvalidParameter, match="expected a SupportFunction, got ScalarField"):
+        polytope_from_support(field)
 
 
 def test_polytope_from_support_sphere():
@@ -628,6 +646,38 @@ def test_ellipsoid_flat_cloud_is_dimension_deficient():
         enclosing_ellipsoid(points)
 
 
+def test_flat_polytope_has_no_enclosing_ellipsoid():
+    # a Polytope built directly skips the hull's rank test; the ellipsoid's
+    # whitening then finds the flat body
+    square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    P = logmink.Polytope(square, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                         np.zeros(2), np.ones(2), [(0, 1, 2, 3), (3, 2, 1, 0)],
+                         square.mean(axis=0))
+    for measure in (enclosing_ellipsoid, blowdown_diagnostics):
+        with pytest.raises(DimensionDeficient, match="points are flat"):
+            measure(P)
+
+
+def test_ellipsoid_of_the_inscribed_unit_sphere_is_the_unit_ball(monkeypatch):
+    # the grid nodes are antipodally symmetric and their quadrature weights
+    # balance them, so the minimal ellipsoid is the unit ball; near the
+    # optimum more than ten rows pass _AUGMENT_ABOVE, so the interior point
+    # falls back to the condensed system
+    P = polytope_from_support(SupportFunction.constant(build_grid(8), 1.0))
+    near_counts = []
+    step = convex._interior_point_step
+
+    def counting_step(A, shape, z, s):
+        near_counts.append(int(np.sum(z / s > convex._AUGMENT_ABOVE)))
+        return step(A, shape, z, s)
+
+    monkeypatch.setattr(convex, "_interior_point_step", counting_step)
+    E = enclosing_ellipsoid(P)
+    assert max(near_counts) > 10
+    assert np.max(np.abs(E.radii - 1.0)) <= 1e-7
+    assert np.max(np.abs(E.center)) <= 1e-14
+
+
 def test_ellipsoid_is_translation_and_scale_equivariant():
     points = random_cloud(4)
     E = enclosing_ellipsoid(points, tolerance=1e-10)
@@ -656,6 +706,55 @@ def test_convex_parameters_must_be_positive_and_finite(bad):
         enclosing_ellipsoid(P, tolerance=bad)
     with pytest.raises(InvalidParameter):
         ball_offset_outer(P, bad)
+
+
+def _raise_qhull_error(*args, **kwargs):
+    raise QhullError("QH6154 qhull precision error (forced)")
+
+
+@pytest.mark.parametrize("callee, call, message", [
+    ("ConvexHull", lambda P: convex_hull_3d(P.vertices), "hull construction failed"),
+    ("ConvexHull", blowdown_diagnostics, "shadow polygon is degenerate"),
+    ("HalfspaceIntersection", lambda P: ball_offset_outer(P, 0.1),
+     "halfspace intersection failed"),
+], ids=["hull", "shadow-hull", "offset"])
+def test_qhull_failures_are_dimension_deficient(monkeypatch, callee, call, message):
+    P = convex_hull_3d(cube_points())
+    monkeypatch.setattr(f"scipy.spatial.{callee}", _raise_qhull_error)
+    with pytest.raises(DimensionDeficient, match=message):
+        call(P)
+
+
+def _failing_interior_point_step(*args):
+    raise np.linalg.LinAlgError("forced")
+
+
+def _nan_lu_solve(factor, rhs, check_finite=True):
+    return np.full_like(rhs, np.nan)
+
+
+def _cholesky_refusing_4x4(real):
+    def cholesky(a):
+        if a.shape == (4, 4):
+            raise np.linalg.LinAlgError("forced")
+        return real(a)
+    return cholesky
+
+
+@pytest.mark.parametrize("target, replacement, message", [
+    ("logmink.convex._interior_point_step", lambda: _failing_interior_point_step,
+     "interior point failed after 0 iterations"),
+    ("scipy.linalg.lu_solve", lambda: _nan_lu_solve, "non-finite interior-point direction"),
+    ("numpy.linalg.cholesky", lambda: _cholesky_refusing_4x4(np.linalg.cholesky),
+     "no step keeps M positive definite"),
+], ids=["step", "direction", "halvings"])
+def test_interior_point_failures_are_convergence_failures(monkeypatch, target,
+                                                           replacement, message):
+    P = convex_hull_3d(random_cloud(5))
+    monkeypatch.setattr(target, replacement())
+    with pytest.raises(ConvergenceFailure, match=message) as err:
+        enclosing_ellipsoid(P)
+    assert err.value.iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +850,13 @@ def test_obj_roundtrip():
     assert_allclose(a, b, atol=0.0)
 
 
+def test_obj_skips_comments_and_blank_lines():
+    text = polytope_to_obj(convex_hull_3d(random_cloud(17)))
+    commented = "# a body\n\n" + text.replace("\nf ", "\n   \n# facet\nf ", 1)
+    assert commented != text
+    assert polytope_to_obj(polytope_from_obj(commented)) == polytope_to_obj(polytope_from_obj(text))
+
+
 def test_obj_rejects_bad_face():
     with pytest.raises(InvalidParameter):
         polytope_from_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")
@@ -770,7 +876,8 @@ def test_measure_csv_roundtrip():
     ("nx,ny,nz,weight\n1,0,0,x\n", "line 2: bad number"),
     ("# comment\n\nnx,ny,nz,weight\n1,0,0\n", "line 4: expected 4 fields"),
     ("1,0,0,0.5\n", "line 1: expected the header"),
-], ids=["bad-number", "field-count", "missing-header"])
+    ("nx,ny,nz,weight\n", "the header nx,ny,nz,weight and at least one row"),
+], ids=["bad-number", "field-count", "missing-header", "header-only"])
 def test_measure_csv_rejects_malformed_text(text, message):
     with pytest.raises(InvalidParameter, match=message):
         measure_from_csv(text)

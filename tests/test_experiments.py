@@ -118,7 +118,7 @@ def test_spec_seeds_and_description():
 def test_all_inits_recover_translated_ball(grid):
     from logmink.solver import DensityFunction
 
-    f = DensityFunction.from_harmonics([(1, 0, 0.1)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(1, 0, 0.1)], grid=grid)
     inits = ExperimentSpec(kind="uniqueness", count=1).inits
     solutions, failures = solve_with_inits(f, inits, grid)
     assert failures == []
@@ -187,21 +187,24 @@ def test_failed_samples_write_their_rows(grid):
     # the default tolerance 1e-10 lies below the aliasing floor of bandwidth
     # 16 for these bound densities, so every solve fails, and an eps that no
     # density inside (1/lam, lam) meets fails gen_density; each failed sample
-    # still writes its report.csv row, and a rerun writes the same bytes
+    # still writes its report.csv row, and a rerun writes the same bytes.  A
+    # failed density fails every init, so the uniqueness row counts all five
+    # and n_failures agrees with it
     cases = [
         (ExperimentSpec("bound", count=3, eps=0.6, lam=4.0, L=16),
-         ("solve", "ConvergenceFailure: backtracking failed"),
+         ("solve", "ConvergenceFailure: backtracking failed"), 1,
          [f"{i},{i},0.0,0.0,0,0.0,0.0,0.0,0.0,0.0" for i in range(3)]),
         (ExperimentSpec("uniqueness", count=1, eps=1e6, lam=1.0001),
-         ("gen_density", "could not fit density"), ["0,0,0,5,0.0,0.0,0"]),
+         ("gen_density", "could not fit density"), 5, ["0,0,0,5,0.0,0.0,0"]),
     ]
-    for spec, (stage, message), rows in cases:
+    for spec, (stage, message), per_sample, rows in cases:
         report = run_experiment(spec)
         text = report.to_csv()
         assert [line for line in text.splitlines()[2:] if not line.startswith("#")] == rows
         for rec in report.records:
-            assert [(s, m[:len(message)]) for s, m in rec["_failures"]] == [(stage, message)]
-        assert report.aggregates["n_failures"] == len(rows)
+            assert ([(s, m[:len(message)]) for s, m in rec["_failures"]]
+                    == [(stage, message)] * per_sample)
+        assert report.aggregates["n_failures"] == per_sample * len(rows)
         assert run_experiment(spec).to_csv() == text
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink import flow
 from logmink.convex import hausdorff_distance
 from logmink.errors import ConvergenceFailure, GridMismatch, InvalidParameter, StepFailure
 from logmink.experiments import gen_density
@@ -51,7 +52,7 @@ def test_translated_ball_is_stationary(grid):
     v = np.array([0.03, -0.02, 0.08])
     h = translated_ball(grid, v)
     f = DensityFunction.from_harmonics(
-        [(1, 1, v[0]), (1, -1, v[1]), (1, 0, v[2])], base=1.0, grid=grid)
+        [(1, 1, v[0]), (1, -1, v[1]), (1, 0, v[2])], grid=grid)
     h1 = one_step(f, h, dt=1e-3)
     assert np.max(np.abs(h1.values - h.values)) < 1e-9
 
@@ -79,11 +80,20 @@ def test_run_flow_halving_gives_up(grid):
     # after the 40 allowed halvings a step from dt=1e20 is still about 9e7,
     # far too large to keep h positive
     h = SupportFunction.constant(grid, 1.0)
-    f = DensityFunction.from_harmonics([(4, 0, 0.3)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(4, 0, 0.3)], grid=grid)
     opts = FlowOptions(dt_init=1e20, dt_max=1e20, renormalize=False,
                        residual_check=None)
     with pytest.raises(StepFailure):
         run_flow(f, h0=h, opts=opts)
+
+
+def test_run_flow_step_cap_is_a_convergence_failure(grid, monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 3)
+    f = DensityFunction.from_harmonics([(2, 0, 0.05)], grid=grid)
+    with pytest.raises(ConvergenceFailure, match="flow not stationary after 3 steps") as err:
+        run_flow(f, grid=grid)
+    assert err.value.iterations == 3
+    assert np.isfinite(err.value.residual) and err.value.residual > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +142,7 @@ def test_flow_scales_to_constant_density(grid):
 
 def test_flow_recovers_translated_ball(grid):
     v = np.array([0.0, 0.0, 0.1])
-    f = DensityFunction.from_harmonics([(1, 0, 0.1)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(1, 0, 0.1)], grid=grid)
     result = run_flow(f, grid=grid)
     assert result.reason == "stationary"
     exact = 1.0 + grid.nodes @ v
@@ -155,7 +165,7 @@ def test_run_flow_certifies_once_per_step(monkeypatch):
     # certificates from the scaling law, so only the Euler candidates and
     # the default h0 are certified by construction
     grid = build_grid(8)
-    f = DensityFunction.from_harmonics([(2, 0, 0.05)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(2, 0, 0.05)], grid=grid)
     certify = SupportFunction.__init__
     calls = []
 

@@ -373,6 +373,11 @@ def test_evaluate_harmonics_off_grid(grid):
     norm = np.sqrt(3.0 / (4.0 * np.pi))
     assert_allclose(evaluate_harmonics(hc, theta, phi), norm * np.cos(theta),
                     atol=1e-12)
+    with pytest.raises(InvalidParameter, match="matching shapes"):
+        evaluate_harmonics(hc, theta, phi[:2])
+    for pole in (0.0, np.pi):
+        with pytest.raises(InvalidParameter, match="must avoid the poles"):
+            evaluate_harmonics(hc, np.array([1.0, pole]), phi[:2])
 
 
 def _lpmv_basis(L, mu):
@@ -517,7 +522,11 @@ def test_field_csv_rejects_wrong_grid(grid):
     ("# grid_L=4\ntheta,phi,value\n0.1,0.2\n", "line 3: expected 3 fields"),
     ("0.1,0.2,1\n", "line 1: expected the header"),
     ("# grid_L=abc\ntheta,phi,value\n0.1,0.2,1\n", "integer grid_L"),
-], ids=["bad-number", "field-count", "missing-header", "bad-grid_L"])
+    ("# grid_L=4\ntheta,phi,value\n", "the header theta,phi,value and at least one row"),
+    (field_to_csv(ScalarField(build_grid(4), np.ones(build_grid(4).n_nodes)))
+     .replace(",0.0,1.0\n", ",0.5,1.0\n"), "node angles do not match the grid layout"),
+], ids=["bad-number", "field-count", "missing-header", "bad-grid_L", "header-only",
+        "shifted-angles"])
 def test_field_csv_rejects_malformed_text(text, message):
     with pytest.raises(InvalidParameter, match=message):
         field_from_csv(text)
@@ -528,6 +537,13 @@ def test_scalar_field_validation(grid):
         ScalarField(grid, np.ones(7))
     with pytest.raises(InvalidParameter):
         HarmonicCoeffs(16, np.ones(12))
+
+
+def test_degrees_orders_and_bandwidths_are_checked():
+    with pytest.raises(InvalidParameter, match=r"\|m\| <= l required, got l=2, m=3"):
+        lm_index(2, 3)
+    with pytest.raises(InvalidParameter, match="bandwidth must be nonnegative"):
+        HarmonicCoeffs(-1, np.zeros(0))
 
 
 def _sphere_coeffs(grid):
@@ -556,6 +572,20 @@ _VALUE_TYPES = {
                                      for z in (-1.0, 1.0)]),
                  lambda g, a: _cube_polytope(a), "vertices"),
 }
+
+
+# SupportFunction fails its certificate on non-finite coefficients, and
+# Polytope holds prepared hull data, so neither goes through the checked copy
+@pytest.mark.parametrize("kind", ["DiscreteMeasure", "Ellipsoid", "HarmonicCoeffs",
+                                  "ScalarField"])
+def test_value_types_check_shape_and_finiteness_by_one_rule(grid, kind):
+    make, build, _ = _VALUE_TYPES[kind]
+    given = make(grid)
+    with pytest.raises(InvalidParameter, match=r"must have shape \(.*\), got shape"):
+        build(grid, given[..., :-1])
+    given[(0,) * given.ndim] = np.nan
+    with pytest.raises(InvalidParameter, match="non-finite entries in "):
+        build(grid, given)
 
 
 @pytest.mark.parametrize("kind", sorted(_VALUE_TYPES))

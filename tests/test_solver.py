@@ -78,7 +78,7 @@ def test_translated_ball_residual(grid):
     h = SupportFunction(grid, translated_ball_coeffs(grid, v))
     assert np.max(np.abs(h.det_w - 1.0)) < 1e-10
     f = DensityFunction.from_harmonics(
-        [(1, 1, v[0]), (1, -1, v[1]), (1, 0, v[2])], base=1.0, grid=grid)
+        [(1, 1, v[0]), (1, -1, v[1]), (1, 0, v[2])], grid=grid)
     res = ma_residual(h, f)
     assert np.max(np.abs(res.values)) < 1e-10
 
@@ -98,6 +98,12 @@ def test_support_function_rejects_nonconvex(grid):
     with pytest.raises(ConvexityError) as err:
         SupportFunction(grid, c)
     assert err.value.node is not None
+
+
+def test_support_function_needs_one_coefficient_per_harmonic(grid):
+    with pytest.raises(InvalidParameter,
+                       match=r"bandwidth 16 needs 289 coefficients, got shape \(5,\)"):
+        SupportFunction(grid, np.ones(5))
 
 
 def test_support_function_rejects_nan(grid):
@@ -177,7 +183,7 @@ def test_from_field_rejects_positive_nonconvex_field(grid):
 
 
 def test_from_harmonics_exact_values(grid):
-    f = DensityFunction.from_harmonics([(1, 0, 0.1)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(1, 0, 0.1)], grid=grid)
     expected = 1.0 + 0.1 * grid.nodes[:, 2]
     assert_allclose(f.values_on(grid), expected, atol=1e-13)
     assert abs(f.mean() - 1.0) < 1e-13
@@ -188,7 +194,7 @@ def test_sectoral_normalization(grid):
     # the (2, 2) harmonic peaks on the equator at longitude 0, which is a
     # grid node, so amplitude 0.3 appears exactly in the node maximum; the
     # minimizing longitude pi/2 falls between nodes
-    f = DensityFunction.from_harmonics([(2, 2, 0.3)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(2, 2, 0.3)], grid=grid)
     vals = f.values_on(grid)
     assert abs(np.max(vals) - 1.3) < 1e-9
     assert 0.7 - 1e-9 <= np.min(vals) < 0.71
@@ -202,8 +208,12 @@ def test_density_validation():
     with pytest.raises(InvalidParameter):
         DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
                         lam_lo=2.0, lam_hi=3.0)
+    for lo, hi in ((0.0, 1.0), (1.5, 0.5), (np.nan, 1.0)):
+        with pytest.raises(InvalidParameter, match="must satisfy 0 < lam_lo <= lam_hi"):
+            DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
+                            lam_lo=lo, lam_hi=hi)
     with pytest.raises(InvalidParameter):
-        DensityFunction.from_harmonics([(1, 0, 2.0)], base=1.0)
+        DensityFunction.from_harmonics([(1, 0, 2.0)])
     with pytest.raises(InvalidParameter):
         DensityFunction.from_harmonics([])
 
@@ -395,6 +405,12 @@ def test_krylov_preconditioner_inverts_the_round_sphere(L):
     assert np.max(np.abs(product - 3.0 * r * r * d)) <= 1e-13 * scale
 
 
+def test_krylov_step_of_a_zero_right_hand_side_is_zero(grid):
+    h = SupportFunction.constant(grid, 1.3)
+    step = _solve_newton_system(h, np.zeros(grid.n_coeffs))
+    assert step.shape == (grid.n_coeffs,) and not np.any(step)
+
+
 def test_singular_krylov_step_is_a_convergence_failure(grid, monkeypatch):
     # a zero operator leaves a zero pivot in the projected triangle
     monkeypatch.setattr(solver, "linearized_operator",
@@ -442,7 +458,7 @@ def test_newton_condition_number_is_one_norm():
     grid = build_grid(8)
     v = np.array([0.0, 0.0, 0.1])
     h0 = SupportFunction(grid, translated_ball_coeffs(grid, v))
-    f = DensityFunction.from_harmonics([(1, 0, v[2])], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(1, 0, v[2])], grid=grid)
     result = newton_solve(f, h0=h0)
     assert result.iterations == 0
     jac = _jacobian_matrix(h0)
@@ -501,7 +517,7 @@ def test_newton_assembles_one_galerkin_matrix_per_solve(grid, monkeypatch):
 
 def test_newton_translated_ball(grid):
     v = np.array([0.0, 0.0, 0.1])
-    f = DensityFunction.from_harmonics([(1, 0, 0.1)], base=1.0, grid=grid)
+    f = DensityFunction.from_harmonics([(1, 0, 0.1)], grid=grid)
     result = newton_solve(f, h0=SupportFunction.constant(grid, 1.0))
     assert result.iterations <= 3
     exact = 1.0 + grid.nodes @ v
@@ -512,7 +528,7 @@ def test_newton_smooth_perturbation_floor(grid):
     # moderately perturbed density: converges at 1e-7 even though the
     # attainable residual floor sits above the 1e-10 default
     f = DensityFunction.from_harmonics(
-        [(2, 1, 0.08), (3, -2, 0.07), (4, 0, 0.05)], base=1.0, grid=grid)
+        [(2, 1, 0.08), (3, -2, 0.07), (4, 0, 0.05)], grid=grid)
     opts = SolveOptions(tolerance=1e-7)
     result = newton_solve(f, opts=opts)
     assert result.residual_sup <= 1e-7
@@ -547,7 +563,7 @@ def test_newton_line_search_rejects_a_nonconvex_candidate(monkeypatch):
 
 def test_newton_unreachable_tolerance_fails_loudly(grid, monkeypatch):
     f = DensityFunction.from_harmonics(
-        [(2, 1, 0.08), (3, -2, 0.07), (4, 0, 0.05)], base=1.0, grid=grid)
+        [(2, 1, 0.08), (3, -2, 0.07), (4, 0, 0.05)], grid=grid)
     monkeypatch.setattr("logmink.solver._MAX_ITERATIONS", 8)
     opts = SolveOptions(tolerance=1e-15)
     with pytest.raises(ConvergenceFailure) as err:
