@@ -49,7 +49,7 @@ from .convex import (
     surface_area_measure,
 )
 from .errors import InvalidParameter, LogminkError
-from .experiments import ExperimentSpec, gen_density, run_experiment
+from .experiments import _SUITES, ExperimentSpec, gen_density, run_experiment
 from .flow import FlowOptions, run_flow
 from .grid import _csv_text, build_grid, field_to_csv
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
@@ -169,11 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    sub.add_parser("solve", parents=[io, numerics, density],
-                   help="Newton-solve h det(W) = f")
+    p = sub.add_parser("solve", parents=[io, numerics, density],
+                       help="Newton-solve h det(W) = f")
+    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("flow", parents=[io, numerics, density],
                        help="normalized Gauss-curvature flow")
+    p.set_defaults(handler=cmd_flow)
     p.add_argument("--dt", type=float, default=None, help="initial time step")
     p.add_argument("--t-final", dest="t_final", type=float, default=None,
                    help="stop at this time instead of at stationarity")
@@ -184,19 +186,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", parents=[io, polytope],
                        help="surface-area / cone-volume measures of an OBJ polytope")
+    p.set_defaults(handler=cmd_measure)
     p.add_argument("--measure", default=None, choices=["surface", "cone", "both"],
                    help="which measure to write (default both)")
 
-    sub.add_parser("john", parents=[io, polytope],
-                   help="minimum-volume enclosing ellipsoid of an OBJ polytope")
+    p = sub.add_parser("john", parents=[io, polytope],
+                       help="minimum-volume enclosing ellipsoid of an OBJ polytope")
+    p.set_defaults(handler=cmd_john)
 
-    sub.add_parser("diag", parents=[io, polytope],
-                   help="blow-down diagnostics of an OBJ polytope")
+    p = sub.add_parser("diag", parents=[io, polytope],
+                       help="blow-down diagnostics of an OBJ polytope")
+    p.set_defaults(handler=cmd_diag)
 
     p = sub.add_parser("experiment", parents=[io, numerics, seeded],
                        help="run a seeded suite and write its report")
-    p.add_argument("--kind", default=None,
-                   choices=["uniqueness", "bound", "diagnostics"])
+    p.set_defaults(handler=cmd_experiment)
+    p.add_argument("--kind", default=None, choices=list(_SUITES))
     p.add_argument("--count", type=int, default=None, help="number of samples")
     p.add_argument("--eps", type=float, default=None, help="sup-norm distance of f from 1")
     p.add_argument("--lam", type=float, default=None, help="density bounds 1/lam < f < lam")
@@ -239,7 +244,7 @@ def _merge(args: argparse.Namespace) -> dict:
         cfg = {key: _config_value(actions[key], value)
                for key, value in parse_config_text(text).items()}
     for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
+        if key in ("command", "config", "handler") or value is None:
             continue
         cfg[key] = value
     return cfg
@@ -314,13 +319,17 @@ def cmd_flow(cfg: dict) -> int:
     f = _require_density(cfg, grid)
     opts = FlowOptions(**_given(cfg, dt_init="dt", stationarity_tol="tol",
                                 renormalize="renormalize", t_final="t_final"))
+    h0 = _optional_h0(cfg, grid)
+    every = cfg.get("snapshot_every", 0)
+    if every < 0:
+        raise InvalidParameter(f"snapshot_every must be >= 0, got {every}")
 
     def snapshot(step, t, h):
-        _write_body(cfg, f"body_{step:06d}.obj", h)
+        if step % every == 0:
+            _write_body(cfg, f"body_{step:06d}.obj", h)
 
-    result = run_flow(f, h0=_optional_h0(cfg, grid), opts=opts, grid=grid,
-                      snapshot_fn=snapshot,
-                      **_given(cfg, snapshot_every="snapshot_every"))
+    result = run_flow(f, h0=h0, opts=opts, grid=grid,
+                      snapshot_fn=snapshot if every else None)
     _write_solution(cfg, result.h, "trace.csv", result.trace_csv())
     print(f"flow stopped ({result.reason}) after {result.steps} steps, "
           f"t = {result.t_end:.6g}, c_est = {result.c_est:.6g}")
@@ -359,7 +368,7 @@ def cmd_diag(cfg: dict) -> int:
 
 def cmd_experiment(cfg: dict) -> int:
     if "kind" not in cfg:
-        raise InvalidParameter("no suite kind; pass --kind uniqueness|bound|diagnostics")
+        raise InvalidParameter(f"no suite kind; pass --kind {'|'.join(_SUITES)}")
     spec_kwargs = _given(cfg, kind="kind", count="count", seed="seed", eps="eps",
                          lam="lam", L="grid_L")
     if "inits" in cfg:
@@ -370,16 +379,6 @@ def cmd_experiment(cfg: dict) -> int:
     write_atomic(_out_path(cfg, "report.csv"), report.to_csv())
     print(f"{spec.kind} suite: {report.aggregates}")
     return 0
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "flow": cmd_flow,
-    "measure": cmd_measure,
-    "john": cmd_john,
-    "diag": cmd_diag,
-    "experiment": cmd_experiment,
-}
 
 
 def main(argv=None) -> int:
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg)
+        return args.handler(cfg)
     except InvalidParameter as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

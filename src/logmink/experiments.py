@@ -92,7 +92,8 @@ class ExperimentReport:
     report columns) become CSV fields, keys starting with an underscore hold
     live objects (solutions, densities, failure lists) for in-process
     inspection.  ``aggregates`` holds n_samples, n_failures and the suite's
-    aggregates, computed once from the records.
+    aggregates, computed once from the records; the diagnostics aggregates
+    raise :class:`ConvergenceFailure` above :data:`DIAGNOSTIC_RATIO_CAP`.
     """
 
     def __init__(self, spec: ExperimentSpec, records: list):
@@ -227,26 +228,23 @@ def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,
     return solutions, failures
 
 
-def _uniqueness_record(spec: ExperimentSpec, grid: SphericalGrid, index: int,
+def _uniqueness_record(spec: ExperimentSpec, grid: SphericalGrid, seed: int,
                        solve_opts: SolveOptions | None) -> dict:
     """Solve one sample from all init strategies; record the pairwise spread."""
-    seed = spec.sample_seed(index)
-    rec: dict = {"sample": index, "seed": seed}
     try:
         f = gen_density(seed, spec.eps, spec.lam, grid=grid)
     except LogminkError as exc:
         # every init fails with the density, so n_failures sums n_failed
-        rec.update(n_solved=0, n_failed=len(spec.inits), max_pairwise=0.0,
-                   worst_residual=0.0, max_iterations=0,
-                   _failures=[("gen_density", str(exc))] * len(spec.inits), _solutions=[])
-        return rec
+        return dict(n_solved=0, n_failed=len(spec.inits), max_pairwise=0.0,
+                    worst_residual=0.0, max_iterations=0,
+                    _failures=[("gen_density", str(exc))] * len(spec.inits), _solutions=[])
     solutions, failures = solve_with_inits(f, spec.inits, grid, seed, solve_opts)
     pairwise = 0.0
     for a in range(len(solutions)):
         for b in range(a + 1, len(solutions)):
             d = hausdorff_distance(solutions[a][1].h, solutions[b][1].h)
             pairwise = max(pairwise, d)
-    rec.update(
+    return dict(
         n_solved=len(solutions),
         n_failed=len(failures),
         max_pairwise=pairwise,
@@ -254,25 +252,21 @@ def _uniqueness_record(spec: ExperimentSpec, grid: SphericalGrid, index: int,
         max_iterations=max((s.iterations for _, s in solutions), default=0),
         _f=f, _solutions=solutions, _failures=failures,
     )
-    return rec
 
 
-def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
+def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, seed: int,
                         solve_opts: SolveOptions | None) -> dict:
     """Solve one sample once; record its sup-norm, min h and blow-down ratios."""
-    seed = spec.sample_seed(index)
-    rec: dict = {"sample": index, "seed": seed}
     try:
         f = gen_density(seed, spec.eps, spec.lam, grid=grid)
         result = newton_solve(f, opts=solve_opts, grid=grid)
         diag = blowdown_diagnostics(polytope_from_support(result.h))
     except LogminkError as exc:
-        rec.update(h_sup=0.0, h_min=0.0, iterations=0, residual_sup=0.0,
-                   ratio_32=0.0, ratio_21=0.0, axis_dist_ratio=0.0,
-                   plane_dist_ratio=0.0,
-                   _failures=[("solve", f"{type(exc).__name__}: {exc}")])
-        return rec
-    rec.update(
+        return dict(h_sup=0.0, h_min=0.0, iterations=0, residual_sup=0.0,
+                    ratio_32=0.0, ratio_21=0.0, axis_dist_ratio=0.0,
+                    plane_dist_ratio=0.0,
+                    _failures=[("solve", f"{type(exc).__name__}: {exc}")])
+    return dict(
         h_sup=result.h.h_sup(),
         h_min=result.h.h_min(),
         iterations=result.iterations,
@@ -281,9 +275,8 @@ def _solve_and_diagnose(spec: ExperimentSpec, grid: SphericalGrid, index: int,
         ratio_21=diag.ratio_21,
         axis_dist_ratio=diag.axis_dist_ratio,
         plane_dist_ratio=diag.plane_dist_ratio,
-        _f=f, _h=result.h, _diag=diag, _failures=[],
+        _f=f, _h=result.h, _failures=[],
     )
-    return rec
 
 
 def _uniqueness_aggregates(records: list) -> dict:
@@ -297,6 +290,17 @@ def _ratio_aggregates(records: list) -> dict:
             for key in ("ratio_32", "ratio_21")}
 
 
+def _capped_ratio_aggregates(records: list) -> dict:
+    """The ratio aggregates, which :data:`DIAGNOSTIC_RATIO_CAP` bounds."""
+    aggregates = _ratio_aggregates(records)
+    worst = max(aggregates.values())
+    if worst > DIAGNOSTIC_RATIO_CAP:
+        raise ConvergenceFailure(f"diagnostic radius ratio {worst:.4g} exceeds the "
+                                 f"documented cap {DIAGNOSTIC_RATIO_CAP:g}",
+                                 residual=worst, iterations=len(records))
+    return aggregates
+
+
 def _bound_aggregates(records: list) -> dict:
     solved = [r for r in records if not r.get("_failures")]
     return {"c_lambda": max((r["h_sup"] for r in solved), default=0.0),
@@ -304,8 +308,9 @@ def _bound_aggregates(records: list) -> dict:
             **_ratio_aggregates(solved)}
 
 
-# kind -> (per-sample record function, report columns, function of the records
-# giving the suite's aggregates after n_samples and n_failures)
+# kind -> (record function of (spec, grid, sample seed, solve options), report
+# columns, function of the records giving the suite's aggregates after
+# n_samples and n_failures); the one list of suite kinds
 _SUITES = {
     "uniqueness": (_uniqueness_record,
                    ("sample", "seed", "n_solved", "n_failed", "max_pairwise",
@@ -318,7 +323,7 @@ _SUITES = {
     "diagnostics": (_solve_and_diagnose,
                     ("sample", "seed", "ratio_32", "ratio_21", "axis_dist_ratio",
                      "plane_dist_ratio"),
-                    _ratio_aggregates),
+                    _capped_ratio_aggregates),
 }
 
 
@@ -339,15 +344,9 @@ def run_experiment(spec: ExperimentSpec,
     """
     record = _SUITES[spec.kind][0]
     grid = build_grid(spec.L)
-    report = ExperimentReport(spec, [record(spec, grid, i, solve_opts)
-                                     for i in range(spec.count)])
-    if spec.kind == "diagnostics":
-        worst = max(report.aggregates["max_ratio_32"],
-                    report.aggregates["max_ratio_21"])
-        if worst > DIAGNOSTIC_RATIO_CAP:
-            raise ConvergenceFailure(
-                f"diagnostic radius ratio {worst:.4g} exceeds the documented "
-                f"cap {DIAGNOSTIC_RATIO_CAP:g}",
-                residual=worst, iterations=spec.count,
-            )
-    return report
+    records = []
+    for index in range(spec.count):
+        seed = spec.sample_seed(index)
+        records.append({"sample": index, "seed": seed,
+                        **record(spec, grid, seed, solve_opts)})
+    return ExperimentReport(spec, records)

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
-from .grid import SphericalGrid, _csv_text, _require_integer, _require_positive_finite
+from .errors import ConvergenceFailure, ConvexityError, StepFailure
+from .grid import SphericalGrid, _csv_text, _require_positive_finite
 from .solver import (
     DensityFunction,
     SupportFunction,
@@ -134,15 +134,19 @@ class FlowResult:
     solves h det(W) = f when the run stopped as stationary.  ``c_est`` is
     the stationarity constant measured before that rescaling.  ``reason``
     is "stationary" or "time".  ``rows`` holds one trace record
-    (t, volume, residual_sup, min_h) per accepted step.
+    (t, volume, residual_sup, min_h) per accepted step, so ``steps`` is
+    their count.
     """
 
     h: SupportFunction
-    steps: int
     t_end: float
     c_est: float
     reason: str
-    rows: list = field(repr=False, default_factory=list)
+    rows: list = field(repr=False)
+
+    @property
+    def steps(self) -> int:
+        return len(self.rows)
 
     def trace_csv(self) -> str:
         return _csv_text("t,volume,residual_sup,min_h", self.rows)
@@ -160,7 +164,7 @@ def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
 
 def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
              opts: FlowOptions | None = None, grid: SphericalGrid | None = None,
-             snapshot_every: int = 0, snapshot_fn=None) -> FlowResult:
+             snapshot_fn=None) -> FlowResult:
     """Run the normalized flow to stationarity (or to a fixed time).
 
     Starting from ``h0`` (default: the round sphere matching the mean of
@@ -179,14 +183,10 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
     step, after the rescale; it gives the step's volume, c_est and the
     next step's lambda.
 
-    ``snapshot_fn(step, t, h)`` is invoked every ``snapshot_every``
-    accepted steps when provided; ``snapshot_every`` must be >= 0, and 0
-    takes no snapshots.
+    ``snapshot_fn(step, t, h)``, when given, is called after every
+    accepted step, numbered from 1; the caller picks the steps it keeps.
     """
     opts = opts or FlowOptions()
-    snapshot_every = _require_integer("snapshot_every", snapshot_every)
-    if snapshot_every < 0:
-        raise InvalidParameter(f"snapshot_every must be >= 0, got {snapshot_every}")
     h = _initial_iterate(f, h0, grid)
     grid = h.grid
 
@@ -234,13 +234,11 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         res = float(np.max(np.abs(cand.values * cand.det_w - c_est * fvals)))
         rows.append((t, vol, res, float(np.min(cand.values))))
         h = cand
-        if snapshot_every > 0 and snapshot_fn is not None and \
-                len(rows) % snapshot_every == 0:
+        if snapshot_fn is not None:
             snapshot_fn(len(rows), t, h)
 
         if opts.t_final is not None and t >= opts.t_final - 1e-15:
-            return FlowResult(h=h, steps=len(rows), t_end=t, c_est=1.0,
-                              reason="time", rows=rows)
+            return FlowResult(h=h, t_end=t, c_est=1.0, reason="time", rows=rows)
         if rate <= opts.stationarity_tol:
             h_final = h.scaled(c_est ** (-1.0 / 3.0))
             residual_values = ma_residual(h_final, f).values
@@ -257,8 +255,8 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
                                            "FlowOptions.residual_check"),
                     residual=residual, iterations=len(rows),
                 )
-            return FlowResult(h=h_final, steps=len(rows), t_end=t,
-                              c_est=c_est, reason="stationary", rows=rows)
+            return FlowResult(h=h_final, t_end=t, c_est=c_est, reason="stationary",
+                              rows=rows)
 
         accepted_in_a_row += 1
         if accepted_in_a_row >= _GROWTH_EVERY and dt < opts.dt_max:

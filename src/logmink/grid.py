@@ -115,9 +115,14 @@ def _read_only(values, name: str | None = None, shape: tuple | None = None) -> n
     array unchanged by later writes to it.  Given a ``name`` and a
     ``shape`` (``None`` for a free axis), the copy must have that shape and
     finite entries, or InvalidParameter names the array.  A fully given
-    shape costs one tuple comparison.
+    shape costs one tuple comparison.  Ragged or non-numeric input raises
+    InvalidParameter too.
     """
-    out = np.array(values, dtype=float)
+    try:
+        out = np.array(values, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InvalidParameter(f"{name or 'array'} must be a regular array of numbers: "
+                               f"{exc}") from None
     if name is not None:
         if out.shape != shape and not (
                 out.ndim == len(shape)

@@ -342,7 +342,8 @@ class NewtonResult:
 
     ``rows`` holds one ``(iter, residual_sup, min_h, min_eig_W, step_size)``
     tuple per iteration (iteration 0 describes the initial iterate with step
-    size 0), matching the CSV report schema of :meth:`report_csv`.
+    size 0), matching the CSV report schema of :meth:`report_csv`;
+    ``iterations`` and ``residual_sup`` read its last row.
     ``condition_number`` is the 1-norm conditioning of the last linearized
     system solved, the Jacobian at the iterate before the final step (not at
     the returned ``h``; it is at ``h`` only when no step was taken), recorded
@@ -350,10 +351,16 @@ class NewtonResult:
     """
 
     h: SupportFunction
-    iterations: int
-    residual_sup: float
     rows: list
     condition_number: float
+
+    @property
+    def iterations(self) -> int:
+        return self.rows[-1][0]
+
+    @property
+    def residual_sup(self) -> float:
+        return self.rows[-1][1]
 
     def report_csv(self) -> str:
         return _csv_text("iter,residual_sup,min_h,min_eig_W,step_size", self.rows)
@@ -467,11 +474,6 @@ def _solve_newton_system(h: SupportFunction, rhs: np.ndarray) -> np.ndarray:
         triangle[:j + 1, j] = col
     y = np.linalg.solve(triangle, g[:k])
     return precondition(np.column_stack(basis[:k]) @ y)
-
-
-def _condition_number(matrix: np.ndarray) -> float:
-    """1-norm condition number of the Galerkin matrix, reported by Newton."""
-    return float(np.linalg.cond(matrix, 1))
 
 
 def _initial_iterate(f: DensityFunction, h0: SupportFunction | None,
@@ -588,11 +590,6 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             f"{_MAX_ITERATIONS} iterations (residual {res_sup:.3e})",
             residual=res_sup, iterations=_MAX_ITERATIONS,
         )
-    condition = _condition_number(_jacobian_matrix(prev))
-    return NewtonResult(
-        h=h,
-        iterations=rows[-1][0],
-        residual_sup=res_sup,
-        rows=rows,
-        condition_number=condition,
-    )
+    # the 1-norm condition number of the last Galerkin matrix solved
+    return NewtonResult(h=h, rows=rows,
+                        condition_number=float(np.linalg.cond(_jacobian_matrix(prev), 1)))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from logmink import cli
+from logmink import cli, experiments
 from logmink.cli import main, parse_config_text, write_atomic
 from logmink.convex import convex_hull_3d, measure_from_csv, polytope_to_obj
 from logmink.errors import InvalidParameter
@@ -24,6 +24,13 @@ def cube_obj_text(half=(1.0, 1.0, 1.0)):
     corners = np.array([[sx, sy, sz] for sx in (-1, 1)
                         for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
     return polytope_to_obj(convex_hull_3d(corners * np.asarray(half)))
+
+
+def _subcommands() -> dict:
+    """Each subcommand's parser, by name."""
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return subparsers.choices
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,43 @@ def test_config_file_and_override(tmp_path, capsys):
 
 def test_no_command_exits_2(capsys):
     assert main([]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("usage: logmink ")
+
+
+def test_every_subcommand_names_its_handler():
+    parser = cli._build_parser()
+    for name in _subcommands():
+        assert parser.parse_args([name]).handler is getattr(cli, f"cmd_{name}")
+
+
+def test_suite_kinds_come_from_the_suite_table(tmp_path, capsys, monkeypatch):
+    # a kind added to experiments._SUITES reaches --kind, the config typing
+    # and the missing-kind message with no edit to the CLI
+    monkeypatch.setitem(experiments._SUITES, "extra", experiments._SUITES["bound"])
+    assert cli._build_parser().parse_args(["experiment", "--kind", "extra"]).kind == "extra"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=extra\n")
+    assert cli._merge(cli._build_parser().parse_args(["experiment", "--config", str(cfg)])) \
+        == {"kind": "extra"}
+    assert main(["experiment", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: no suite kind; pass --kind "
+                                       "uniqueness|bound|diagnostics|extra\n")
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Command | Flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        commands, flags = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+        for command in commands:
+            assert command not in documented, f"{command} has two rows"
+            documented[command] = sorted(flags)
+    declared = {name: sorted(option for action in parser._actions
+                             for option in action.option_strings
+                             if option not in ("-h", "--help"))
+                for name, parser in _subcommands().items()}
+    assert documented == declared
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -352,9 +395,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys, argv):
 
 def test_config_keys_match_the_cli_flags():
     # every flag of every subcommand can be set from a --config file
-    subparsers = next(action for action in cli._build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for parser in subparsers.choices.values()
+    dests = {action.dest for parser in _subcommands().values()
              for action in parser._actions if action.dest != "help"}
     text = "".join(f"{dest}=x\n" for dest in sorted(dests))
     assert set(parse_config_text(text)) == dests
@@ -362,10 +403,8 @@ def test_config_keys_match_the_cli_flags():
 
 def test_each_config_key_has_one_declaration():
     # commands that take the same option group share its argparse actions
-    subparsers = next(action for action in cli._build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     actions: dict = {}
-    for parser in subparsers.choices.values():
+    for parser in _subcommands().values():
         for action in parser._actions:
             if action.dest != "help":
                 actions.setdefault(action.dest, set()).add(id(action))

@@ -230,6 +230,8 @@ def test_hull_rejects_degenerate():
         convex_hull_3d(np.zeros((4, 2)))
     with pytest.raises(InvalidParameter, match="non-finite entries in points"):
         convex_hull_3d(np.vstack((cube_points(), [[np.inf, 0.0, 0.0]])))
+    with pytest.raises(InvalidParameter, match="points must be a regular array of numbers"):
+        convex_hull_3d([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0]])
 
 
 def test_polytope_transforms():
@@ -404,6 +406,8 @@ def test_measure_validation():
         DiscreteMeasure(np.array([[1.0, 0.0, 0.0]]), np.array([-0.5]))
     with pytest.raises(InvalidParameter, match="at least one atom"):
         DiscreteMeasure(np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(InvalidParameter, match="atom weights must be a regular array of numbers"):
+        DiscreteMeasure([[1, 0, 0]], ["x"])
     m = DiscreteMeasure(np.eye(3), np.array([1.0, 2.0, 3.0]))
     assert m.integrate(lambda u: u[:, 0]) == 1.0
     with pytest.raises(InvalidParameter):

@@ -179,8 +179,11 @@ def test_diagnostics_run_and_cap(grid, monkeypatch):
     assert abs(rec["ratio_21"] - 1.0) < 0.2
     # an impossible cap (below 1) must trip the failure path
     monkeypatch.setattr(experiments, "DIAGNOSTIC_RATIO_CAP", 0.5)
-    with pytest.raises(ConvergenceFailure):
+    worst = max(rec["ratio_32"], rec["ratio_21"])
+    with pytest.raises(ConvergenceFailure, match=f"diagnostic radius ratio {worst:.4g} "
+                                                 "exceeds the documented cap 0.5") as err:
         run_experiment(spec)
+    assert (err.value.residual, err.value.iterations) == (worst, spec.count)
 
 
 def test_failed_samples_write_their_rows(grid):

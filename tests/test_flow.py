@@ -272,17 +272,18 @@ def test_trace_schema(grid):
 
 
 def test_snapshot_hook(grid):
+    # the hook sees every accepted step, numbered from 1, with that step's
+    # time and iterate; the CLI's --snapshot-every picks the steps it keeps
     f = DensityFunction.constant(1.0)
     h0 = SupportFunction.constant(grid, 2.0)
     opts = FlowOptions(renormalize=False, t_final=0.02, residual_check=None)
     seen = []
-    run_flow(f, h0=h0, opts=opts,
-             snapshot_every=5, snapshot_fn=lambda step, t, h: seen.append(step))
-    assert seen
-    assert all(step % 5 == 0 for step in seen)
-    with pytest.raises(InvalidParameter):
-        run_flow(f, h0=h0, opts=opts, snapshot_every=-2,
-                 snapshot_fn=lambda step, t, h: None)
+    result = run_flow(f, h0=h0, opts=opts,
+                      snapshot_fn=lambda step, t, h: seen.append((step, t, h)))
+    assert result.steps > 1
+    assert [step for step, _, _ in seen] == list(range(1, result.steps + 1))
+    assert [t for _, t, _ in seen] == [row[0] for row in result.rows]
+    assert seen[-1][2] is result.h
 
 
 def test_flow_result_fields(grid):

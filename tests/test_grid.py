@@ -475,10 +475,9 @@ def test_build_grid_validation():
     lambda: logmink.gen_density(1.5, 0.05, 2.0),
     lambda: logmink.ball_offset_outer(logmink.convex_hull_3d(np.vstack((np.eye(3), -np.eye(3)))),
                                       0.1, n_directions=4.5),
-    lambda: logmink.run_flow(logmink.DensityFunction.constant(1.0), snapshot_every="3"),
 ], ids=["lm-degree", "lm-bool-order", "harmonic-field", "from-harmonics",
         "grid-string", "grid-inf", "spec-count", "spec-seed", "spec-bool-L",
-        "gen-density-seed", "offset-directions", "flow-snapshot"])
+        "gen-density-seed", "offset-directions"])
 def test_integer_parameters_reject_non_integers(call):
     with pytest.raises(InvalidParameter, match="must be an integer"):
         call()
@@ -583,6 +582,16 @@ def test_value_types_check_shape_and_finiteness_by_one_rule(grid, kind):
     given = make(grid)
     with pytest.raises(InvalidParameter, match=r"must have shape \(.*\), got shape"):
         build(grid, given[..., :-1])
+    ragged = given.tolist()
+    ragged[-1] = [ragged[-1], 0.0]
+    with pytest.raises(InvalidParameter, match="must be a regular array of numbers: "
+                                               "setting an array element with a sequence"):
+        build(grid, ragged)
+    text = given.astype(object)
+    text[(0,) * given.ndim] = "x"
+    with pytest.raises(InvalidParameter, match="must be a regular array of numbers: "
+                                               "could not convert string to float: 'x'"):
+        build(grid, text)
     given[(0,) * given.ndim] = np.nan
     with pytest.raises(InvalidParameter, match="non-finite entries in "):
         build(grid, given)
