@@ -19,6 +19,7 @@ runs of the same spec.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ class ExperimentSpec:
     inits: tuple = _DEFAULT_INITS
 
     def __post_init__(self):
-        if self.kind not in _SUITES:
+        if not (isinstance(self.kind, str) and self.kind in _SUITES):
             raise InvalidParameter(
                 f"unknown suite kind {self.kind!r}; expected one of {tuple(_SUITES)}"
             )
@@ -70,6 +71,10 @@ class ExperimentSpec:
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
         _require_density_parameters(self.seed, self.eps, self.lam)
+        if isinstance(self.inits, str):
+            raise InvalidParameter(
+                f"inits must be a sequence of strategy names, got the string {self.inits!r}"
+            )
         object.__setattr__(self, "inits", tuple(self.inits))
         if not self.inits:
             raise InvalidParameter("inits must name at least one strategy")
@@ -114,6 +119,9 @@ class ExperimentReport:
 
 def _require_density_parameters(seed: int, eps: float, lam: float) -> None:
     """The parameter rule of :func:`gen_density`, which every spec also meets."""
+    for name, value in (("eps", eps), ("lam", lam)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     if not (0.0 <= eps < np.inf):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
     if not (1.0 < lam < np.inf):

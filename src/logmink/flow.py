@@ -158,7 +158,7 @@ def _increment(h: SupportFunction, fvals: np.ndarray, lam: float,
     semi-implicit damping a_l / (1 + dt * kappa * l(l+1))."""
     grid = h.grid
     a = grid.analyze_values(dt * (lam * h.values - fvals / h.det_w))
-    kappa = float(np.max(fvals / (h.det_w * h.min_eig_w)))
+    kappa = float((fvals / (h.det_w * h.min_eig_w)).max())
     return a, grid._damped(a, dt * kappa)
 
 
@@ -224,15 +224,14 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
             scale = (v_target / (_mass(cand) / 3.0)) ** (1.0 / 3.0)
             cand = cand.scaled(scale)
 
-        rate = float(np.max(np.abs(grid.synthesize_coeffs(a)))) / (
-            dt_step * float(np.max(np.abs(h.values))))
+        rate = float(np.abs(grid.synthesize_coeffs(a)).max()) / (dt_step * h.h_sup())
         t += dt_step
         halvings_left = _MAX_HALVINGS
         mass = _mass(cand)
         vol = mass / 3.0
         c_est = mass / f_total
-        res = float(np.max(np.abs(cand.values * cand.det_w - c_est * fvals)))
-        rows.append((t, vol, res, float(np.min(cand.values))))
+        res = float(np.abs(cand.values * cand.det_w - c_est * fvals).max())
+        rows.append((t, vol, res, cand.h_min()))
         h = cand
         if snapshot_fn is not None:
             snapshot_fn(len(rows), t, h)

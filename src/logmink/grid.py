@@ -246,6 +246,15 @@ def _harmonic_sup(l: int, m: int) -> float:
     return float(np.sqrt(2.0) * np.max(np.abs(column)))
 
 
+class _RingTables(SimpleNamespace):
+    """The ring tables of :attr:`SphericalGrid._spec`."""
+
+    @property
+    def Pm(self) -> np.ndarray:
+        """The value blocks of ``PHm``: a view, so the values are stored once."""
+        return self.PHm[:, :len(self.ring_weights)]
+
+
 class SphericalGrid:
     """Quadrature grid and spectral operators on the unit sphere.
 
@@ -313,9 +322,11 @@ class SphericalGrid:
         from the one Legendre recurrence, :func:`_legendre_order`, called
         once per order ``m = 0..L``, and are stored order-major: block
         ``m + L`` of a table is ``nlat x (L+1)``, indexed ``[ring, l]`` and
-        zero for ``l < |m|``.  ``Pm`` holds the values, ``Gm`` the gradient
-        parts ``G1 | G2`` and ``Hm`` the Hessian parts ``R11 | R12 | R22``,
-        stacked along the ring axis.  ``G2`` and ``R12`` pair with the
+        zero for ``l < |m|``.  ``PHm`` stacks the values ``P`` and the
+        Hessian parts ``R11 | R12 | R22`` along the ring axis, so that one
+        pass over it gives a function and its Hessian; ``Pm`` is a view of
+        its value blocks and holds no bytes of its own.  ``Gm`` holds the
+        gradient parts ``G1 | G2``.  ``G2`` and ``R12`` pair with the
         partner order ``-m``, and ``G2`` carries the gradient's
         ``1/sin(theta)``.  The longitude parts are the columns of ``trig``
         (see :func:`_trig_table`).  ``slots`` places flat coefficient
@@ -327,9 +338,9 @@ class SphericalGrid:
         L = self.L
         ls, ms = _degree_order_arrays(L)
         nlat = self.nlat
-        Pm = np.empty((2 * L + 1, nlat, L + 1))
+        PHm = np.empty((2 * L + 1, 4 * nlat, L + 1))
         Gm = np.empty((2 * L + 1, 2 * nlat, L + 1))
-        Hm = np.empty((2 * L + 1, 3 * nlat, L + 1))
+        Pm, Hm = PHm[:, :nlat], PHm[:, nlat:]
         # Blocks L..2L, orders m = 0..L, come first, one recurrence call each;
         # there G2 and R12 carry the phi-derivative's scale |m| of the sin orders.
         mu = np.cos(self.theta)
@@ -355,7 +366,7 @@ class SphericalGrid:
         # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi).
         # So order -m copies order m, and G2 and R12 change sign at the cos
         # orders m > 0.
-        for table in (Pm, Gm, Hm):
+        for table in (PHm, Gm):
             table[:L] = table[:L:-1]
         Gm[L + 1:, nlat:] *= -1.0
         Hm[L + 1:, nlat:2 * nlat] *= -1.0
@@ -364,19 +375,21 @@ class SphericalGrid:
         slots = (ms + L) * (L + 1) + ls
         lap_eig = lap[ls]
 
-        for arr in (Pm, Gm, Hm, trig, ring_weights, slots, ms, lap_eig):
+        for arr in (PHm, Gm, trig, ring_weights, slots, ms, lap_eig):
             arr.setflags(write=False)
-        return SimpleNamespace(Pm=Pm, Gm=Gm, Hm=Hm, trig=trig, ring_weights=ring_weights,
-                               slots=slots, ms=ms, lap_eig=lap_eig)
+        return _RingTables(PHm=PHm, Gm=Gm, trig=trig, ring_weights=ring_weights,
+                           slots=slots, ms=ms, lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
     # Analysis is one GEMM of all rings against the trig table, one batched
     # product with ``Pm`` over the signed orders and a gather by ``slots``.
     # Synthesis scatters the coefficients into the padded order-major array,
     # takes one batched product with a stacked table, reverses the partner
-    # blocks along the order axis and ends in one GEMM with the trig table;
-    # the Hessian's three components share that one pass.  Both are O(L**3)
-    # and private, so each public call is one traced span.
+    # blocks along the order axis and ends in one GEMM with the trig table.
+    # ``hessian_components`` is that one pass over ``PHm``: a function's
+    # values and its three Hessian components come from its coefficients,
+    # with no analysis in between.  Both are O(L**3) and private, so each
+    # public call is one traced span.
 
     def _analysis(self, values: np.ndarray) -> np.ndarray:
         s = self._spec
@@ -410,11 +423,12 @@ class SphericalGrid:
         s = self._spec
         return self._nodes(s.Pm, s.lap_eig * self._analysis(values))[0]
 
-    def hessian_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Covariant Hessian frame components (H11, H12, H22); the values are
-        analyzed once, so they are treated as band-limited."""
-        h11, h12, h22 = self._nodes(self._spec.Hm, self._analysis(values), partners=(1,))
-        return h11, h12, h22
+    def hessian_components(self, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Node values and covariant Hessian frame components (h, H11, H12, H22)
+        of the harmonic expansion ``coeffs``, from one pass over ``PHm``.  For
+        node values, pass their analysis (``analyze_values``)."""
+        h, h11, h12, h22 = self._nodes(self._spec.PHm, coeffs, partners=(2,))
+        return h, h11, h12, h22
 
     def gradient_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Tangential gradient frame components (along e_theta, e_phi)."""
@@ -445,8 +459,7 @@ class SphericalGrid:
         """
         s = self._spec
         L = self.L
-        (P,) = self._flat(s.Pm)
-        R11, R12, R22 = self._flat(s.Hm)
+        P, R11, R12, R22 = self._flat(s.PHm)
         trig_products = (s.trig[:, :, None] * s.trig[:, None, :]).reshape(self.nlon, -1)
         fields = np.stack([c0, c11, c12, c22]).reshape(4 * self.nlat, self.nlon)
         ring_sums = (fields @ trig_products).reshape(4, self.nlat, 2 * L + 1, 2 * L + 1)

@@ -14,8 +14,12 @@ The Newton iteration works on harmonic coefficients: each step solves the
 Galerkin projection of the linearized equation, one row per coefficient,
 matrix-free by GMRES on the O(L**3) spectral transforms, then backtracks
 along the step until the iterate keeps ``h`` positive, keeps ``W`` positive
-definite, and decreases the residual sup-norm.  The dense Galerkin matrix is
-assembled once per solve, only for the reported condition number.
+definite, and decreases the residual sup-norm.  Every object here holds its
+harmonic coefficients, so a certificate and a Krylov product each take one
+transform pass from the coefficients to the node values and the Hessian
+(:meth:`SphericalGrid.hessian_components`), with no analysis of node values
+in between.  The dense Galerkin matrix is assembled once per solve, only
+for the reported condition number.
 """
 
 from __future__ import annotations
@@ -78,9 +82,8 @@ def _zonal_coefficient(name: str, value: float) -> float:
     return zonal
 
 
-def _curvature_data(grid: SphericalGrid, values: np.ndarray):
+def _curvature_data(values, h11, h12, h22):
     """Components of W = Hess h + h I, its determinant and minimal eigenvalue."""
-    h11, h12, h22 = grid.hessian_components(values)
     w11 = h11 + values
     w22 = h22 + values
     det = w11 * w22 - h12 * h12
@@ -92,7 +95,7 @@ def _curvature_data(grid: SphericalGrid, values: np.ndarray):
 def _require_positive(values: np.ndarray) -> None:
     """Raise :class:`ConvexityError` unless every node value is positive and finite."""
     # written as not (min > 0 and max < inf) so that NaN and inf fail too
-    if not (np.min(values) > 0.0 and np.max(values) < np.inf):
+    if not (values.min() > 0.0 and values.max() < np.inf):
         node = int(np.argmin(np.where(np.isfinite(values), values, -np.inf)))
         raise ConvexityError(
             f"support function is not positive and finite at node {node} "
@@ -103,7 +106,7 @@ def _require_positive(values: np.ndarray) -> None:
 
 def _require_positive_definite(min_eig: np.ndarray) -> None:
     """Raise :class:`ConvexityError` unless ``W`` is positive definite at every node."""
-    if not (np.min(min_eig) > 0.0):
+    if not (min_eig.min() > 0.0):
         node = int(np.argmin(min_eig))
         raise ConvexityError(
             f"curvature matrix W is not positive definite at node {node} "
@@ -120,7 +123,9 @@ class SupportFunction:
     :class:`ConvexityError` if ``h`` is not strictly positive and finite or
     ``W`` is not positive definite at some node; the error names an
     offending node.  Positivity is checked first, so a non-positive or
-    non-finite ``h`` is rejected before its Hessian is computed.
+    non-finite ``h`` is rejected before its Hessian is used.  The values and
+    the Hessian come from the coefficients in one transform pass
+    (:meth:`SphericalGrid.hessian_components`).
     """
 
     def __init__(self, grid: SphericalGrid, coeffs: np.ndarray):
@@ -130,9 +135,13 @@ class SupportFunction:
                 f"support function on bandwidth {grid.L} needs {grid.n_coeffs} "
                 f"coefficients, got shape {coeffs.shape}"
             )
-        values = grid.synthesize_coeffs(coeffs)
+        if not np.isfinite(coeffs).all():
+            # Every node value is then non-finite, so the values alone fail;
+            # the Hessian pass would multiply inf by the table's zeros.
+            _require_positive(grid.synthesize_coeffs(coeffs))
+        values, h11, h12, h22 = grid.hessian_components(coeffs)
         _require_positive(values)
-        w11, w12, w22, det, min_eig = _curvature_data(grid, values)
+        w11, w12, w22, det, min_eig = _curvature_data(values, h11, h12, h22)
         _require_positive_definite(min_eig)
         self._store(grid, coeffs, values, w11, w12, w22, det, min_eig)
 
@@ -200,10 +209,10 @@ class SupportFunction:
         return ScalarField(self.grid, self.values)
 
     def h_min(self) -> float:
-        return float(np.min(self.values))
+        return float(self.values.min())
 
     def h_sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
 
 class DensityFunction:
@@ -387,17 +396,25 @@ def _linearization_fields(h: SupportFunction):
             -2.0 * h.values * h.w12, h.values * h.w11)
 
 
+def _linearization(h: SupportFunction, coeffs: np.ndarray) -> np.ndarray:
+    """Node values of the linearization at ``h`` applied to the harmonic
+    expansion ``coeffs``: one transform pass gives the perturbation and its
+    Hessian."""
+    c0, c11, c12, c22 = _linearization_fields(h)
+    p, p11, p12, p22 = h.grid.hessian_components(coeffs)
+    return c0 * p + c11 * p11 + c12 * p12 + c22 * p22
+
+
 def linearized_operator(h: SupportFunction, phi: ScalarField) -> ScalarField:
     """Derivative of ``h det(W(h))`` at ``h`` applied to a perturbation.
 
     The derivative is ``det(W) phi + h U : (Hess phi + phi I)``, ``U`` the
     cofactor matrix of ``W``, expanded in the fields the Newton Jacobian
     projects.  At the unit sphere it is the Helmholtz operator ``Lap phi + 3 phi``.
+    ``phi`` is analyzed once, so it is treated as band-limited.
     """
     require_same_grid(h.grid, phi.grid, "support function and perturbation")
-    c0, c11, c12, c22 = _linearization_fields(h)
-    p11, p12, p22 = h.grid.hessian_components(phi.values)
-    return ScalarField(h.grid, c0 * phi.values + c11 * p11 + c12 * p12 + c22 * p22)
+    return ScalarField(h.grid, _linearization(h, h.grid.analyze_values(phi.values)))
 
 
 def _aliasing_floor_note(nodal: float, projected: float, threshold: float,
@@ -426,8 +443,9 @@ def _jacobian_matrix(h: SupportFunction) -> np.ndarray:
 def _solve_newton_system(h: SupportFunction, rhs: np.ndarray) -> np.ndarray:
     """The Newton step: solve the Galerkin system ``J(h) delta = rhs`` by GMRES.
 
-    ``J(h) d`` is applied matrix-free as the projection of
-    :func:`linearized_operator` on the synthesis of ``d``.  The right
+    ``J(h) d`` is applied matrix-free as the projection of the
+    linearization at ``h`` applied to the expansion ``d``; one transform
+    pass from ``d`` gives its values and Hessian.  The right
     preconditioner ``(1 + Lap/3)^-1`` inverts the linearization
     ``r**2 (Lap + 3)`` at a round sphere up to a scalar factor, which leaves
     the GMRES iterates unchanged.  Givens rotations keep the projected
@@ -441,8 +459,7 @@ def _solve_newton_system(h: SupportFunction, rhs: np.ndarray) -> np.ndarray:
         return grid._damped(v, -1.0 / 3.0)
 
     def apply(v):
-        phi = ScalarField(grid, grid.synthesize_coeffs(precondition(v)))
-        return grid.analyze_values(linearized_operator(h, phi).values)
+        return grid.analyze_values(_linearization(h, precondition(v)))
 
     beta = float(np.linalg.norm(rhs))
     if beta == 0.0:
@@ -534,7 +551,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
     fv = f.values_on(work_grid)
     threshold = opts.tolerance * f.mean()
     residual = h.values * h.det_w - fv
-    res_sup = float(np.max(np.abs(residual)))
+    res_sup = float(np.abs(residual).max())
     rows = [(0, res_sup, float(h.values.min()), float(h.min_eig_w.min()), 0.0)]
     prev = h  # the iterate the last step was solved at
 
@@ -561,7 +578,7 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
                 cand = None
             if cand is not None and cand.h_min() > _POSITIVITY_FLOOR:
                 cand_res = cand.values * cand.det_w - fv
-                cand_sup = float(np.max(np.abs(cand_res)))
+                cand_sup = float(np.abs(cand_res).max())
                 if cand_sup < res_sup:
                     h, residual, res_sup = cand, cand_res, cand_sup
                     accepted = True

@@ -102,6 +102,18 @@ def test_spec_validation():
             ExperimentSpec(kind="uniqueness", inits=("const:1.0", bad))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": ["bound"]}, r"unknown suite kind \['bound'\]"),
+    ({"eps": "x"}, "eps must be a real number, got 'x'"),
+    ({"lam": "x"}, "lam must be a real number, got 'x'"),
+    ({"eps": True}, "eps must be a real number, got True"),
+    ({"inits": "flow"}, "inits must be a sequence of strategy names, got the string 'flow'"),
+], ids=["kind-list", "eps-string", "lam-string", "eps-bool", "inits-string"])
+def test_spec_rejects_values_of_the_wrong_type(kwargs, message):
+    with pytest.raises(InvalidParameter, match=message):
+        ExperimentSpec(**{"kind": "bound", **kwargs})
+
+
 def test_spec_seeds_and_description():
     spec = ExperimentSpec(kind="uniqueness", count=3, seed=7)
     assert spec.sample_seed(0) == 7 * 100003

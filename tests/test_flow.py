@@ -10,7 +10,8 @@ from logmink.errors import ConvergenceFailure, GridMismatch, InvalidParameter, S
 from logmink.experiments import gen_density
 from logmink.flow import FlowOptions, FlowResult, run_flow
 from logmink.grid import HarmonicCoeffs, build_grid, lm_index
-from logmink.solver import DensityFunction, SupportFunction, ma_residual, newton_solve
+from logmink.solver import (DensityFunction, SolveOptions, SupportFunction, ma_residual,
+                             newton_solve)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,25 @@ def test_flow_step_count_is_bandwidth_free(grid, flow_and_newton_L32):
     for result in (at_16, flow_and_newton_L32[0]):
         assert result.reason == "stationary"
         assert result.steps <= 600
+
+
+# Flow steps and Newton iterations (tolerance 1e-8) for gen_density(seed,
+# 0.05, 2), seeds 0-4, recorded before certificates took their values and
+# Hessian from the coefficients in one pass.  A change in the last bits of
+# the transforms must not move a count.
+_PINNED_COUNTS = {16: [(319, 3), (322, 3), (318, 3), (326, 3), (322, 3)],
+                  32: [(319, 3), (322, 3), (318, 3), (326, 3), (322, 3)]}
+
+
+@pytest.mark.parametrize("L", sorted(_PINNED_COUNTS))
+def test_flow_steps_and_newton_iterations_are_pinned(L):
+    grid_L = build_grid(L)
+    counts = []
+    for seed in range(5):
+        f = gen_density(seed, 0.05, 2)
+        counts.append((run_flow(f, grid=grid_L).steps,
+                       newton_solve(f, grid=grid_L, opts=SolveOptions(1e-8)).iterations))
+    assert counts == _PINNED_COUNTS[L]
 
 
 def test_flow_scale_equivariance(grid):

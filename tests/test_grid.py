@@ -118,7 +118,7 @@ def test_degree_one_hessian_identity(grid):
     # Hess(v . u) + (v . u) I = 0 for every linear height function
     for axis in range(3):
         field = ScalarField(grid, grid.nodes[:, axis])
-        h11, h12, h22 = grid.hessian_components(field.values)
+        _, h11, h12, h22 = grid.hessian_components(grid.analyze_values(field.values))
         W = np.stack([h11 + field.values, h12, h22 + field.values])
         assert np.max(np.abs(W)) < 5e-12
 
@@ -128,8 +128,22 @@ def test_hessian_trace_is_laplacian(grid):
     coeffs = np.zeros(grid.n_coeffs)
     coeffs[: lm_index(6, 6) + 1] = rng.standard_normal(lm_index(6, 6) + 1)
     field = synthesize(HarmonicCoeffs(16, coeffs), grid)
-    h11, _, h22 = grid.hessian_components(field.values)
+    _, h11, _, h22 = grid.hessian_components(grid.analyze_values(field.values))
     assert_allclose(h11 + h22, grid.laplacian_values(field.values), atol=1e-9)
+
+
+@pytest.mark.parametrize("L", [16, 48, 64])
+def test_hessian_from_coefficients_has_the_exact_laplacian_trace(L):
+    # the trace of the covariant Hessian is the Laplacian, which scales the
+    # degree-l coefficients by -l(l+1); one pass from the coefficients meets
+    # it to rounding, with no analysis whose error l(l+1) would multiply
+    grid = build_grid(L)
+    coeffs = np.random.default_rng(L).standard_normal(grid.n_coeffs)
+    h, h11, _, h22 = grid.hessian_components(coeffs)
+    lap = grid.synthesize_coeffs(grid._spec.lap_eig * coeffs)
+    assert np.max(np.abs(h11 + h22 - lap)) <= 1e-14 * np.max(np.abs(lap))
+    values = grid.synthesize_coeffs(coeffs)
+    assert np.max(np.abs(h - values)) <= 1e-14 * np.max(np.abs(values))
 
 
 def test_gradient_matches_finite_difference(grid):
@@ -170,7 +184,8 @@ def test_hessian_and_gradient_match_finite_differences():
     f_tp = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * step**2)
     st, cot = np.sin(t), np.cos(t) / np.sin(t)
 
-    h11, h12, h22 = (H[keep] for H in grid.hessian_components(field.values))
+    h11, h12, h22 = (H[keep] for H in
+                     grid.hessian_components(grid.analyze_values(field.values))[1:])
     for got, want in [(h11, f_tt), (h12, (f_tp - cot * f_p) / st),
                       (h22, f_pp / st**2 + cot * f_t)]:
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
@@ -240,19 +255,20 @@ def _dense_rings(grid):
 def test_transforms_match_dense_basis_columns(L):
     # random coefficients at every (l, m) exercise every signed order and its
     # partner -m.  Synthesis and analysis are checked against the dense sums;
-    # the derivative operators analyze their input first, so their reference
-    # acts on the analyzed coefficients.
+    # the derivative operators act on the analyzed coefficients, so their
+    # reference does too.
     grid = build_grid(L)
     coeffs = np.random.default_rng(L).standard_normal(grid.n_coeffs)
     values = grid.synthesize_coeffs(coeffs)
     back = grid.analyze_values(values)
     got = {"values": values, "lap": grid.laplacian_values(values)}
     got["g1"], got["g2"] = grid.gradient_components(values)
-    got["h11"], got["h12"], got["h22"] = grid.hessian_components(values)
+    got["h"], got["h11"], got["h12"], got["h22"] = grid.hessian_components(back)
     want = {name: np.empty(grid.n_nodes) for name in got}
     projection = np.zeros(grid.n_coeffs)
     for ring, columns in _dense_rings(grid):
         want["values"][ring] = columns["values"] @ coeffs
+        want["h"][ring] = columns["values"] @ back
         for name in ("g1", "g2", "h11", "h12", "h22", "lap"):
             want[name][ring] = columns[name] @ back
         projection += columns["values"].T @ (grid.weights[ring] * values[ring])

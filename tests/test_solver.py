@@ -334,14 +334,14 @@ def dense_jacobian(h):
 
     The node matrices are built column by column from the public operators:
     ``Y`` from the basis fields, the Hessian components from
-    ``hessian_components`` of each basis field, and ``A`` the quadrature
+    ``hessian_components`` of each basis field's analysis, and ``A`` the quadrature
     projection ``Y^T diag(weights)``.
     """
     grid = h.grid
     Y = np.column_stack([harmonic_field(grid, l, m).values
                          for l in range(grid.L + 1) for m in range(-l, l + 1)])
-    H11, H12, H22 = (np.column_stack(cols)
-                     for cols in zip(*(grid.hessian_components(y) for y in Y.T)))
+    H11, H12, H22 = (np.column_stack(cols) for cols in zip(
+        *(grid.hessian_components(grid.analyze_values(y))[1:] for y in Y.T)))
     j_node = ((h.det_w + h.values * (h.w11 + h.w22))[:, None] * Y
               + h.values[:, None] * (h.w22[:, None] * H11
                                      - 2.0 * h.w12[:, None] * H12
@@ -413,8 +413,8 @@ def test_krylov_step_of_a_zero_right_hand_side_is_zero(grid):
 
 def test_singular_krylov_step_is_a_convergence_failure(grid, monkeypatch):
     # a zero operator leaves a zero pivot in the projected triangle
-    monkeypatch.setattr(solver, "linearized_operator",
-                        lambda h, phi: ScalarField(h.grid, np.zeros(h.grid.n_nodes)))
+    monkeypatch.setattr(solver, "_linearization",
+                        lambda h, coeffs: np.zeros(h.grid.n_nodes))
     h0 = SupportFunction.constant(grid, 1.3)
     with pytest.raises(ConvergenceFailure, match="singular at iteration 1"):
         newton_solve(DensityFunction.constant(1.0), h0=h0)
