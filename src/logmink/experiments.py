@@ -19,8 +19,8 @@ runs of the same spec.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .grid import (
     _csv_text,
     _require_integer,
     _require_positive_finite,
+    _require_real,
     build_grid,
 )
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
@@ -70,10 +71,17 @@ class ExperimentSpec:
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.count < 1:
             raise InvalidParameter(f"sample count must be >= 1, got {self.count}")
-        _require_density_parameters(self.seed, self.eps, self.lam)
+        # stored as floats, so numpy and Python inputs describe alike
+        eps, lam = _require_density_parameters(self.seed, self.eps, self.lam)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "lam", lam)
         if isinstance(self.inits, str):
             raise InvalidParameter(
                 f"inits must be a sequence of strategy names, got the string {self.inits!r}"
+            )
+        if not isinstance(self.inits, Iterable):
+            raise InvalidParameter(
+                f"inits must be a sequence of strategy names, got {self.inits!r}"
             )
         object.__setattr__(self, "inits", tuple(self.inits))
         if not self.inits:
@@ -117,17 +125,17 @@ class ExperimentReport:
         return _csv_text(",".join(self.columns), rows, [f"spec: {self.spec.describe()}"], tail)
 
 
-def _require_density_parameters(seed: int, eps: float, lam: float) -> None:
-    """The parameter rule of :func:`gen_density`, which every spec also meets."""
-    for name, value in (("eps", eps), ("lam", lam)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+def _require_density_parameters(seed: int, eps: float, lam: float) -> tuple[float, float]:
+    """The parameter rule of :func:`gen_density`, which every spec also
+    meets; returns ``eps`` and ``lam`` as floats."""
+    eps, lam = _require_real("eps", eps), _require_real("lam", lam)
     if not (0.0 <= eps < np.inf):
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
     if not (1.0 < lam < np.inf):
         raise InvalidParameter(f"lam must be finite and > 1, got {lam}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    return eps, lam
 
 
 def gen_density(seed: int, eps: float, lam: float,
@@ -142,7 +150,7 @@ def gen_density(seed: int, eps: float, lam: float,
     retries :class:`GenerationFailure` is raised.
     """
     seed = _require_integer("seed", seed)
-    _require_density_parameters(seed, eps, lam)
+    eps, lam = _require_density_parameters(seed, eps, lam)
     if eps == 0.0:
         return DensityFunction.constant(1.0)
     if grid is None:
@@ -154,7 +162,7 @@ def gen_density(seed: int, eps: float, lam: float,
     sup = float(np.max(np.abs(g_vals)))
     unit = g_vals / sup
 
-    amp = float(eps)
+    amp = eps
     for _ in range(100):
         f_vals = 1.0 + amp * unit
         if np.all(f_vals > 1.0 / lam) and np.all(f_vals < lam):
@@ -189,6 +197,8 @@ def _perturbed_start(f: DensityFunction, grid: SphericalGrid,
 
 def _parse_init(strategy: str) -> tuple[str, float | None]:
     """Name and ``const:c`` factor of an init strategy, or InvalidParameter."""
+    if not isinstance(strategy, str):
+        raise InvalidParameter(f"init strategy must be a string, got {strategy!r}")
     name, colon, arg = strategy.partition(":")
     if name == "const" and colon:
         try:
@@ -349,8 +359,13 @@ def run_experiment(spec: ExperimentSpec,
       ratios for lam = 2 suites.  A sample exceeding it raises
       :class:`ConvergenceFailure`, flagging either a solver problem or a
       genuinely degenerating solution family worth inspection.
+
+    Every suite solves with ``solve_opts`` (default :class:`SolveOptions`)
+    with ``report_condition`` off, since no column or aggregate reads a
+    condition number.
     """
     record = _SUITES[spec.kind][0]
+    solve_opts = replace(solve_opts or SolveOptions(), report_condition=False)
     grid = build_grid(spec.L)
     records = []
     for index in range(spec.count):

@@ -104,7 +104,7 @@ def _require_fits(L: int, target: int) -> None:
 def _require_positive_finite(name: str, value: float) -> None:
     """The one rule for scalar options that must be positive and finite."""
     # written as not (0 < value < inf) so that NaN fails too
-    if not (0.0 < value < np.inf):
+    if not (0.0 < _require_real(name, value) < np.inf):
         raise InvalidParameter(f"{name} must be positive and finite, got {value}")
 
 
@@ -146,6 +146,22 @@ def _require_integer(name: str, value) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(name: str, value) -> float:
+    """The one rule for real-valued options; returns ``value`` as a float.
+
+    Ints, floats, numpy integers and numpy floats pass, non-finite ones too
+    (an int beyond the float range becomes an infinity of its sign), so
+    range checks stay with the caller; bools, strings and other types raise
+    InvalidParameter.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return np.inf if value > 0 else -np.inf
+    raise InvalidParameter(f"{name} must be a real number, got {value!r}")
 
 
 def _degree_order_arrays(L: int) -> tuple[np.ndarray, np.ndarray]:

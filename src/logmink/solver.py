@@ -18,8 +18,9 @@ definite, and decreases the residual sup-norm.  Every object here holds its
 harmonic coefficients, so a certificate and a Krylov product each take one
 transform pass from the coefficients to the node values and the Hessian
 (:meth:`SphericalGrid.hessian_components`), with no analysis of node values
-in between.  The dense Galerkin matrix is assembled once per solve, only
-for the reported condition number.
+in between.  The dense Galerkin matrix is assembled at most once per
+solve, only for the reported condition number, and not at all when
+:class:`SolveOptions` ``report_condition`` is off.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .grid import (
     _require_fits,
     _require_integer,
     _require_positive_finite,
+    _require_real,
     build_grid,
     coeff_count,
     lm_index,
@@ -226,6 +228,8 @@ class DensityFunction:
 
     def __init__(self, coeffs: HarmonicCoeffs, lam_lo: float, lam_hi: float,
                  grid: SphericalGrid | None = None):
+        _require_real("lam_lo", lam_lo)
+        _require_real("lam_hi", lam_hi)
         if not (0.0 < lam_lo <= lam_hi):
             raise InvalidParameter(
                 f"density bounds must satisfy 0 < lam_lo <= lam_hi, got "
@@ -337,12 +341,24 @@ class SolveOptions:
         ``sup |h det W - f| <= tolerance * mean f``.  Relative to the mean
         density, so the test is invariant under the scaling f -> s^3 f,
         h -> s h; for mean-1 densities it is the absolute sup-norm bound.
+    report_condition : bool
+        Whether :func:`newton_solve` computes ``condition_number``.  Off,
+        it assembles no dense Galerkin matrix and returns None there; the
+        iteration and the solution are the same.  The experiment suites
+        turn it off, since no suite output reads the value.  The option is
+        temporary: once the value is computed on its first read instead
+        (ROADMAP item 2), it goes.
     """
 
     tolerance: float = 1e-10
+    report_condition: bool = True
 
     def __post_init__(self):
         _require_positive_finite("tolerance", self.tolerance)
+        if not isinstance(self.report_condition, bool):
+            raise InvalidParameter(
+                f"report_condition must be True or False, got {self.report_condition!r}"
+            )
 
 
 @dataclass
@@ -356,12 +372,17 @@ class NewtonResult:
     ``condition_number`` is the 1-norm conditioning of the last linearized
     system solved, the Jacobian at the iterate before the final step (not at
     the returned ``h``; it is at ``h`` only when no step was taken), recorded
-    so ill-conditioning is visible rather than assumed away.
+    so ill-conditioning is visible rather than assumed away.  It is None
+    when :class:`SolveOptions` ``report_condition`` is off.  The value is
+    exact and dear: it assembles the dense C x C Galerkin matrix, C the
+    number of coefficients, and inverts it, which at L = 48 (C = 2401)
+    takes about 1 s and raises the peak RSS by about four C x C float64
+    buffers (about 184 MB), far more than the solve itself.
     """
 
     h: SupportFunction
     rows: list
-    condition_number: float
+    condition_number: float | None
 
     @property
     def iterations(self) -> int:
@@ -517,7 +538,8 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
 
     Each step solves the Galerkin linearization matrix-free by preconditioned
     GMRES (:func:`_solve_newton_system`); the dense Galerkin matrix is
-    assembled once, after convergence, for ``condition_number``.
+    assembled once, after convergence, for ``condition_number``, and only
+    when ``opts.report_condition`` is on.
 
     Parameters
     ----------
@@ -608,5 +630,6 @@ def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,
             residual=res_sup, iterations=_MAX_ITERATIONS,
         )
     # the 1-norm condition number of the last Galerkin matrix solved
-    return NewtonResult(h=h, rows=rows,
-                        condition_number=float(np.linalg.cond(_jacobian_matrix(prev), 1)))
+    condition = (float(np.linalg.cond(_jacobian_matrix(prev), 1))
+                 if opts.report_condition else None)
+    return NewtonResult(h=h, rows=rows, condition_number=condition)

@@ -13,8 +13,8 @@ from logmink.experiments import (
     run_experiment,
     solve_with_inits,
 )
-from logmink.grid import build_grid, lm_index
-from logmink.solver import ma_residual
+from logmink.grid import SphericalGrid, build_grid, lm_index
+from logmink.solver import SolveOptions, ma_residual
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,10 @@ def test_spec_validation():
     ({"lam": "x"}, "lam must be a real number, got 'x'"),
     ({"eps": True}, "eps must be a real number, got True"),
     ({"inits": "flow"}, "inits must be a sequence of strategy names, got the string 'flow'"),
-], ids=["kind-list", "eps-string", "lam-string", "eps-bool", "inits-string"])
+    ({"inits": None}, "inits must be a sequence of strategy names, got None"),
+    ({"inits": ("flow", 1)}, "init strategy must be a string, got 1"),
+], ids=["kind-list", "eps-string", "lam-string", "eps-bool", "inits-string", "inits-none",
+        "inits-int"])
 def test_spec_rejects_values_of_the_wrong_type(kwargs, message):
     with pytest.raises(InvalidParameter, match=message):
         ExperimentSpec(**{"kind": "bound", **kwargs})
@@ -121,6 +124,17 @@ def test_spec_seeds_and_description():
     text = spec.describe()
     assert text.startswith("kind=uniqueness count=3 seed=7 ")
     assert "inits=const:0.7|const:1.0|const:1.4|perturb|flow" in text
+
+
+def test_spec_stores_python_floats():
+    # numpy scalars and Python numbers of one value write one header
+    plain = ExperimentSpec(kind="bound", eps=0.1, lam=2.0)
+    for eps, lam in ((np.float64(0.1), np.float64(2.0)), (0.1, 2), (0.1, np.int64(2))):
+        spec = ExperimentSpec(kind="bound", eps=eps, lam=lam)
+        assert type(spec.eps) is float and type(spec.lam) is float
+        assert spec.describe() == plain.describe()
+    narrow = ExperimentSpec(kind="bound", eps=np.float32(0.1)).describe()
+    assert f"eps={float(np.float32(0.1))!r} " in narrow and "np." not in narrow
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +235,27 @@ def test_failed_samples_write_their_rows(grid):
                     == [(stage, message)] * per_sample)
         assert report.aggregates["n_failures"] == per_sample * len(rows)
         assert run_experiment(spec).to_csv() == text
+
+
+@pytest.mark.parametrize("kind", list(experiments._SUITES))
+def test_suites_assemble_no_galerkin_matrix(kind, monkeypatch):
+    # the suites solve without the conditioning report; forcing it on
+    # assembles matrices but writes the same report
+    calls = []
+    assemble = SphericalGrid._galerkin_matrix
+
+    def counted(self, *fields):
+        calls.append(self.L)
+        return assemble(self, *fields)
+
+    monkeypatch.setattr(SphericalGrid, "_galerkin_matrix", counted)
+    spec = ExperimentSpec(kind=kind, count=3, seed=1)
+    opts = SolveOptions(tolerance=1e-8)
+    text = run_experiment(spec, opts).to_csv()
+    assert calls == []
+    monkeypatch.setattr(experiments, "replace", lambda options, **changes: options)
+    assert run_experiment(spec, opts).to_csv() == text
+    assert len(calls) >= spec.count
 
 
 def test_run_experiment_dispatch(grid):

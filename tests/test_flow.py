@@ -117,6 +117,10 @@ def test_flow_options_validation():
                 FlowOptions(**{name: value})
     # None is the documented way to skip the final residual check
     FlowOptions(residual_check=None)
+    for name in ("dt_init", "stationarity_tol", "dt_max", "t_final",
+                 "residual_check"):
+        with pytest.raises(InvalidParameter, match=f"{name} must be a real number, got 'x'"):
+            FlowOptions(**{name: "x"})
 
 
 def test_run_flow_grid_mismatch(grid):

@@ -212,6 +212,11 @@ def test_density_validation():
         with pytest.raises(InvalidParameter, match="must satisfy 0 < lam_lo <= lam_hi"):
             DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
                             lam_lo=lo, lam_hi=hi)
+    for lo, hi, message in (("x", 1.0, "lam_lo must be a real number, got 'x'"),
+                            (0.5, None, "lam_hi must be a real number, got None")):
+        with pytest.raises(InvalidParameter, match=message):
+            DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
+                            lam_lo=lo, lam_hi=hi)
     with pytest.raises(InvalidParameter):
         DensityFunction.from_harmonics([(1, 0, 2.0)])
     with pytest.raises(InvalidParameter):
@@ -510,6 +515,12 @@ def test_newton_assembles_one_galerkin_matrix_per_solve(grid, monkeypatch):
         calls.clear()
         result = newton_solve(f, h0=h0, grid=grid, opts=SolveOptions(tolerance=1e-6))
         assert result.iterations >= 3 and calls == [grid.L]
+        # without the conditioning report: no matrix, the same solve
+        calls.clear()
+        bare = newton_solve(f, h0=h0, grid=grid,
+                            opts=SolveOptions(tolerance=1e-6, report_condition=False))
+        assert calls == [] and bare.condition_number is None
+        assert np.array_equal(bare.h.coeffs, result.h.coeffs) and bare.rows == result.rows
     calls.clear()
     assert newton_solve(DensityFunction.constant(8.0), grid=grid).iterations == 0
     assert calls == [grid.L]
@@ -616,6 +627,17 @@ def test_solve_options_validation():
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(InvalidParameter):
             SolveOptions(tolerance=tol)
+    # an int beyond the float range is an infinity, not an OverflowError
+    with pytest.raises(InvalidParameter, match="tolerance must be positive and finite"):
+        SolveOptions(tolerance=10**400)
+    for bad, message in (("x", "tolerance must be a real number, got 'x'"),
+                         (True, "tolerance must be a real number, got True")):
+        with pytest.raises(InvalidParameter, match=message):
+            SolveOptions(tolerance=bad)
+    # a string is truthy, so it would silently mean on
+    with pytest.raises(InvalidParameter, match="report_condition must be True or False, got 'no'"):
+        SolveOptions(report_condition="no")
+    assert SolveOptions(tolerance=np.float32(1e-6)).tolerance == np.float32(1e-6)
 
 
 def _dilated(f, factor, grid):
