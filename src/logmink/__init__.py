@@ -32,7 +32,6 @@ from .grid import (
     harmonic_field,
     integrate,
     synthesize,
-    tangential_gradient,
 )
 from .solver import (
     DensityFunction,

@@ -51,7 +51,7 @@ from .convex import (
 from .errors import InvalidParameter, LogminkError
 from .experiments import _SUITES, ExperimentSpec, gen_density, run_experiment
 from .flow import FlowOptions, run_flow
-from .grid import _csv_text, build_grid, field_to_csv
+from .grid import DEFAULT_BANDWIDTH, _csv_text, build_grid, field_to_csv
 from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 # config-file spellings of the on/off flags' values
@@ -60,13 +60,16 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory."""
+    """Write text to path via a temp file in the same directory, in open()'s mode."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     numerics, g = group("numerics")
     g.add_argument("--grid-L", dest="grid_L", type=int, default=None,
-                   help="spherical grid bandwidth (default 16)")
+                   help=f"spherical grid bandwidth (default {DEFAULT_BANDWIDTH})")
     g.add_argument("--tol", type=float, default=None,
                    help="solver residual tolerance relative to mean f / "
                         "flow stationarity tolerance")

@@ -44,7 +44,6 @@ from .grid import (
     _require_integer,
     _require_positive_finite,
     require_same_grid,
-    tangential_gradient,
 )
 from .solver import SupportFunction, _mass
 
@@ -509,9 +508,9 @@ def polytope_from_support(h: SupportFunction) -> Polytope:
         raise InvalidParameter(
             f"expected a SupportFunction, got {type(h).__name__}"
         )
-    grad = tangential_gradient(h.field)
-    points = grad + h.values[:, None] * h.grid.nodes
-    return convex_hull_3d(points)
+    gt, gp = h.grid.gradient_components(h.coeffs)
+    grad = gt[:, None] * h.grid.e_theta + gp[:, None] * h.grid.e_phi
+    return convex_hull_3d(grad + h.values[:, None] * h.grid.nodes)
 
 
 def _lifted_inverse(lifted: np.ndarray, u: np.ndarray):

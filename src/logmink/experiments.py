@@ -33,6 +33,7 @@ from .errors import (
 )
 from .flow import FlowOptions, run_flow
 from .grid import (
+    DEFAULT_BANDWIDTH,
     HarmonicCoeffs,
     SphericalGrid,
     _csv_cell,
@@ -50,6 +51,16 @@ _DEFAULT_INITS = ("const:0.7", "const:1.0", "const:1.4", "perturb", "flow")
 DIAGNOSTIC_RATIO_CAP = 3.0
 
 
+def _init_list(inits) -> tuple:
+    """``inits`` as a tuple; a string, a non-iterable or an empty list raises."""
+    if isinstance(inits, str) or not isinstance(inits, Iterable):
+        got = f"the string {inits!r}" if isinstance(inits, str) else repr(inits)
+        raise InvalidParameter(f"inits must be a sequence of strategy names, got {got}")
+    if not (inits := tuple(inits)):
+        raise InvalidParameter("inits must name at least one strategy")
+    return inits
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one suite run."""
@@ -59,7 +70,7 @@ class ExperimentSpec:
     seed: int = 0
     eps: float = 0.05
     lam: float = 2.0
-    L: int = 16
+    L: int = DEFAULT_BANDWIDTH
     inits: tuple = _DEFAULT_INITS
 
     def __post_init__(self):
@@ -75,17 +86,7 @@ class ExperimentSpec:
         eps, lam = _require_density_parameters(self.seed, self.eps, self.lam)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "lam", lam)
-        if isinstance(self.inits, str):
-            raise InvalidParameter(
-                f"inits must be a sequence of strategy names, got the string {self.inits!r}"
-            )
-        if not isinstance(self.inits, Iterable):
-            raise InvalidParameter(
-                f"inits must be a sequence of strategy names, got {self.inits!r}"
-            )
-        object.__setattr__(self, "inits", tuple(self.inits))
-        if not self.inits:
-            raise InvalidParameter("inits must name at least one strategy")
+        object.__setattr__(self, "inits", _init_list(self.inits))
         for strategy in self.inits:
             _parse_init(strategy)
 
@@ -230,13 +231,14 @@ def solve_with_inits(f: DensityFunction, inits, grid: SphericalGrid,
 
     Returns (solutions, failures) where solutions is a list of
     (strategy, NewtonResult) for the runs that converged and failures a
-    list of (strategy, message) for those that did not.  Used by the
+    list of (strategy, message) for those that did not, unknown names too;
+    ``inits`` is checked as in :class:`ExperimentSpec`.  Used by the
     uniqueness suite and directly handy for analytic test densities.
     """
     solve_opts = solve_opts or SolveOptions()
     solutions = []
     failures = []
-    for strategy in inits:
+    for strategy in _init_list(inits):
         try:
             h0 = _start_from(strategy, f, grid, seed)
             result = newton_solve(f, h0=h0, opts=solve_opts, grid=grid)

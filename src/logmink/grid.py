@@ -20,12 +20,13 @@ synthesis on band-limited data.  Poles are never nodes.
 
 Every real basis function is a colatitude part times a longitude part, and
 so is each of its derivatives in the node frame.  The grid therefore holds
-order-major ring tables, one ``nlat x (L+1)`` block per signed order (zero
-below degree ``|m|``), and one ``nlon x (2L+1)`` table of signed-order
-longitude factors, and no ``n x C`` matrix (``C = (L+1)**2``).  A transform
-is one batched product over the orders and one GEMM with the longitude
-table: O(L**3) per call.  The Newton Jacobian is assembled from them in
-O(L**5); only this module reads them.
+order-major ring tables of the values and Hessian parts, one ``nlat x (L+1)``
+block per signed order (zero below degree ``|m|``), and one ``nlon x (2L+1)``
+table of signed-order longitude factors, and no ``n x C`` matrix
+(``C = (L+1)**2``) and no gradient table.  A transform is one batched
+product over the orders and one GEMM with the longitude table: O(L**3) per
+call; every derivative operator takes coefficients.  The Newton Jacobian is
+assembled from them in O(L**5); only this module reads them.
 
 The colatitude parts are normalized associated Legendre functions from one
 stable three-term recurrence, evaluated one order at a time by
@@ -64,7 +65,6 @@ __all__ = [
     "integrate",
     "analyze",
     "synthesize",
-    "tangential_gradient",
     "harmonic_field",
     "evaluate_harmonics",
     "lm_index",
@@ -333,7 +333,7 @@ class SphericalGrid:
     def _spec(self) -> SimpleNamespace:
         """Ring tables of the spectral operators (built lazily, then cached).
 
-        Each basis function and each of its frame derivatives is a
+        Each basis function and each of its Hessian frame components is a
         colatitude part times a longitude part.  The colatitude parts come
         from the one Legendre recurrence, :func:`_legendre_order`, called
         once per order ``m = 0..L``, and are stored order-major: block
@@ -341,28 +341,27 @@ class SphericalGrid:
         zero for ``l < |m|``.  ``PHm`` stacks the values ``P`` and the
         Hessian parts ``R11 | R12 | R22`` along the ring axis, so that one
         pass over it gives a function and its Hessian; ``Pm`` is a view of
-        its value blocks and holds no bytes of its own.  ``Gm`` holds the
-        gradient parts ``G1 | G2``.  ``G2`` and ``R12`` pair with the
-        partner order ``-m``, and ``G2`` carries the gradient's
-        ``1/sin(theta)``.  The longitude parts are the columns of ``trig``
-        (see :func:`_trig_table`).  ``slots`` places flat coefficient
-        ``(l, m)`` at ``(m + L)(L + 1) + l`` of a padded ``(2L+1) x (L+1)``
-        array; ``ms`` is its signed order and ``lap_eig`` its Laplacian
-        eigenvalue.  ``ring_weights`` is one node's quadrature weight per
-        ring.
+        its value blocks and holds no bytes of its own.  ``R12`` pairs with
+        the partner order ``-m``.  The theta-derivatives are a temporary of
+        the build: there is no gradient table.  The longitude parts are the
+        columns of ``trig`` (see :func:`_trig_table`).  ``slots`` places
+        flat coefficient ``(l, m)`` at ``(m + L)(L + 1) + l`` of a padded
+        ``(2L+1) x (L+1)`` array; ``ms`` is its signed order and ``lap_eig``
+        its Laplacian eigenvalue.  ``ring_weights`` is one node's quadrature
+        weight per ring.
         """
         L = self.L
         ls, ms = _degree_order_arrays(L)
         nlat = self.nlat
         PHm = np.empty((2 * L + 1, 4 * nlat, L + 1))
-        Gm = np.empty((2 * L + 1, 2 * nlat, L + 1))
+        dP = np.empty((L + 1, nlat, L + 1))
         Pm, Hm = PHm[:, :nlat], PHm[:, nlat:]
         # Blocks L..2L, orders m = 0..L, come first, one recurrence call each;
-        # there G2 and R12 carry the phi-derivative's scale |m| of the sin orders.
+        # there R12 carries the phi-derivative's scale |m| of the sin orders.
         mu = np.cos(self.theta)
         for order in range(L + 1):
-            Pm[L + order], Gm[L + order, :nlat] = _legendre_order(L, order, mu)
-        P, dP = Pm[L:], Gm[L:, :nlat]
+            Pm[L + order], dP[order] = _legendre_order(L, order, mu)
+        P = Pm[L:]
         degrees = np.arange(L + 1)
         lap = -(degrees * (degrees + 1)).astype(float)
         m = degrees.astype(float)[:, None, None]
@@ -373,27 +372,24 @@ class SphericalGrid:
         # covariant Hessian in the orthonormal frame.
         st = np.sin(self.theta)[:, None]
         cot = mu[:, None] / st
-        Gm[L:, nlat:] = P * m / st
         Hm[L:, :nlat] = -cot * dP + lap * P + m2 * P / st**2
         Hm[L:, nlat:2 * nlat] = (dP - cot * P) / st * m
         Hm[L:, 2 * nlat:] = -m2 * P / st**2 + cot * dP
 
         # The phi-derivative swaps each cos/sin pair and scales by the order:
         # d/dphi cos(m phi) = -m sin(m phi), d/dphi sin(m phi) = m cos(m phi).
-        # So order -m copies order m, and G2 and R12 change sign at the cos
-        # orders m > 0.
-        for table in (PHm, Gm):
-            table[:L] = table[:L:-1]
-        Gm[L + 1:, nlat:] *= -1.0
+        # So order -m copies order m, and R12 changes sign at the cos orders
+        # m > 0.
+        PHm[:L] = PHm[:L:-1]
         Hm[L + 1:, nlat:2 * nlat] *= -1.0
         trig = _trig_table(L, self.phi)
         ring_weights = self.weights[::self.nlon]
         slots = (ms + L) * (L + 1) + ls
         lap_eig = lap[ls]
 
-        for arr in (PHm, Gm, trig, ring_weights, slots, ms, lap_eig):
+        for arr in (PHm, trig, ring_weights, slots, ms, lap_eig):
             arr.setflags(write=False)
-        return _RingTables(PHm=PHm, Gm=Gm, trig=trig, ring_weights=ring_weights,
+        return _RingTables(PHm=PHm, trig=trig, ring_weights=ring_weights,
                            slots=slots, ms=ms, lap_eig=lap_eig)
 
     # ndarray-level operations; the typed wrappers below are the public API.
@@ -402,15 +398,9 @@ class SphericalGrid:
     # Synthesis scatters the coefficients into the padded order-major array,
     # takes one batched product with a stacked table, reverses the partner
     # blocks along the order axis and ends in one GEMM with the trig table.
-    # ``hessian_components`` is that one pass over ``PHm``: a function's
-    # values and its three Hessian components come from its coefficients,
-    # with no analysis in between.  Both are O(L**3) and private, so each
-    # public call is one traced span.
-
-    def _analysis(self, values: np.ndarray) -> np.ndarray:
-        s = self._spec
-        rings = (s.ring_weights[:, None] * values.reshape(self.nlat, self.nlon)) @ s.trig
-        return np.matmul(rings.T[:, None, :], s.Pm).reshape(-1)[s.slots]
+    # The derivative operators take coefficients, with no analysis between:
+    # ``hessian_components`` is one pass over ``PHm``, the gradient three over
+    # ``Pm``.  All are O(L**3).
 
     def _nodes(self, table: np.ndarray, coeffs: np.ndarray, partners: tuple = ()) -> np.ndarray:
         """Node values of each ``nlat``-ring block of ``table`` applied to ``coeffs``.
@@ -429,7 +419,9 @@ class SphericalGrid:
         return (rings.reshape(orders, -1).T @ s.trig.T).reshape(-1, self.n_nodes)
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
-        return self._analysis(values)
+        s = self._spec
+        rings = (s.ring_weights[:, None] * values.reshape(self.nlat, self.nlon)) @ s.trig
+        return np.matmul(rings.T[:, None, :], s.Pm).reshape(-1)[s.slots]
 
     def synthesize_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         return self._nodes(self._spec.Pm, coeffs)[0]
@@ -437,19 +429,29 @@ class SphericalGrid:
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
         """Laplace-Beltrami operator: degree-l coefficients scale by -l(l+1)."""
         s = self._spec
-        return self._nodes(s.Pm, s.lap_eig * self._analysis(values))[0]
+        return self._nodes(s.Pm, s.lap_eig * self.analyze_values(values))[0]
 
     def hessian_components(self, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Node values and covariant Hessian frame components (h, H11, H12, H22)
         of the harmonic expansion ``coeffs``, from one pass over ``PHm``.  For
         node values, pass their analysis (``analyze_values``)."""
-        h, h11, h12, h22 = self._nodes(self._spec.PHm, coeffs, partners=(2,))
-        return h, h11, h12, h22
+        return tuple(self._nodes(self._spec.PHm, coeffs, partners=(2,)))
 
-    def gradient_components(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tangential gradient frame components (along e_theta, e_phi)."""
-        g1, g2 = self._nodes(self._spec.Gm, self._analysis(values), partners=(1,))
-        return g1, g2
+    def gradient_components(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tangential gradient frame components (along e_theta, e_phi) of the
+        expansion ``coeffs``: three syntheses over ``Pm`` by the derivative
+        rule of :func:`_legendre_order`, each divided by ``sin(theta)``.
+        ``d/dphi`` takes coefficient ``(l, -m)`` to ``(l, m)`` times ``m``."""
+        ls, ms = _degree_order_arrays(self.L)
+        below = np.flatnonzero(np.abs(ms) < ls)
+        l, m = ls[below], ms[below]
+        scale = np.sqrt((2 * l + 1) * (l - m) * (l + m) / (2 * l - 1))
+        down = np.zeros(self.n_coeffs)
+        down[below - 2 * l] = scale * coeffs[below]  # degree l-1 sits 2l lower
+        lifted, lowered, turned = (self._nodes(self._spec.Pm, c)[0] for c in
+                                   (ls * coeffs, down, ms * coeffs[ls * (ls + 1) - ms]))
+        st = np.sin(self.theta_nodes)
+        return (np.cos(self.theta_nodes) * lifted - lowered) / st, turned / st
 
     def _flat(self, table: np.ndarray) -> list[np.ndarray]:
         """Degree-major ``nlat x C`` copies of the ring blocks of an order-major
@@ -590,12 +592,6 @@ def synthesize(coeffs: HarmonicCoeffs, grid: SphericalGrid) -> ScalarField:
     the grid's raises :class:`GridMismatch` (see :meth:`HarmonicCoeffs.embedded`).
     """
     return ScalarField(grid, grid.synthesize_coeffs(coeffs.embedded(grid.L).values))
-
-
-def tangential_gradient(h: ScalarField) -> np.ndarray:
-    """Tangential gradient as ambient 3-vectors at the nodes."""
-    gt, gp = h.grid.gradient_components(h.values)
-    return gt[:, None] * h.grid.e_theta + gp[:, None] * h.grid.e_phi
 
 
 def harmonic_field(grid: SphericalGrid, l: int, m: int) -> ScalarField:

@@ -6,6 +6,7 @@ import importlib
 import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +64,22 @@ def test_write_atomic(tmp_path):
     write_atomic(str(target), "replaced")
     assert target.read_text() == "replaced"
     assert glob.glob(str(tmp_path / "deep" / "*.tmp")) == []
+
+
+def test_write_atomic_gives_the_mode_of_open(tmp_path):
+    # mkstemp makes 0600 files whatever the umask; artefacts must read as
+    # a plain open() would leave them
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            plain, atomic = tmp_path / f"plain{umask:o}.txt", tmp_path / f"atomic{umask:o}.txt"
+            with open(plain, "w") as handle:
+                handle.write("payload")
+            write_atomic(str(atomic), "payload")
+            assert os.stat(atomic).st_mode == os.stat(plain).st_mode, oct(umask)
+    finally:
+        os.umask(old)
 
 
 def test_failed_replace_leaves_no_tmp_file(tmp_path, capsys, monkeypatch):
@@ -306,6 +323,17 @@ def test_readme_flag_table_matches_the_parser():
                              if option not in ("-h", "--help"))
                 for name, parser in _subcommands().items()}
     assert documented == declared
+
+
+def test_readme_api_quickstart_runs():
+    # the quickstart is the public API in use; a fresh interpreter runs it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart (API)\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -41,7 +41,7 @@ from logmink.errors import (
     OriginNotContained,
 )
 from logmink.experiments import gen_density
-from logmink.grid import ScalarField, build_grid, tangential_gradient
+from logmink.grid import ScalarField, build_grid, lm_index
 from logmink.solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
 
 
@@ -68,7 +68,9 @@ def newton_boundaries():
     for seed in (700001, 700002, 700003):
         f = gen_density(seed, 0.05, 2.0, grid=grid)
         h = newton_solve(f, grid=grid, opts=SolveOptions(tolerance=1e-8)).h
-        clouds.append(tangential_gradient(h.field) + h.values[:, None] * grid.nodes)
+        gt, gp = grid.gradient_components(h.coeffs)
+        clouds.append(gt[:, None] * grid.e_theta + gp[:, None] * grid.e_phi
+                      + h.values[:, None] * grid.nodes)
     return clouds
 
 
@@ -492,6 +494,23 @@ def test_polytope_from_support_node_exact():
     # support therefore matches h at the nodes to rounding
     vals = P.support(grid.nodes)
     assert np.max(np.abs(vals - h.values)) < 1e-9
+
+
+@pytest.mark.parametrize("L", [16, 48, 64])
+def test_translated_ball_boundary_points_are_exact(L):
+    # h = r + a.u is the ball of radius r about a, whose boundary point in
+    # direction u is r u + a; the degree-one harmonics carry the
+    # Condon-Shortley sign: u.e1 = -k Y_11, u.e2 = -k Y_1-1, u.e3 = k Y_10
+    grid = build_grid(L)
+    r, a = 2.0, np.array([0.3, -0.2, 0.45])
+    k = np.sqrt(4.0 * np.pi / 3.0)
+    c = np.zeros(grid.n_coeffs)
+    c[0] = r * np.sqrt(4.0 * np.pi)
+    c[[lm_index(1, 1), lm_index(1, -1), lm_index(1, 0)]] = k * a * [-1.0, -1.0, 1.0]
+    P = polytope_from_support(SupportFunction(grid, c))
+    # every node is extreme, and the hull keeps the points in node order
+    assert P.n_vertices == grid.n_nodes
+    assert np.max(np.abs(P.vertices - (r * grid.nodes + a))) <= 1e-14
 
 
 def test_inscribed_cone_volume_converges_from_below():

@@ -163,6 +163,22 @@ def test_bad_init_strategy_reported(grid):
     assert len(solutions) == 1
     assert len(failures) == 1
     assert failures[0][0] == "const:-2.0"
+    # an unknown name is one recorded failure too, and a list is a sequence
+    assert solve_with_inits(f, ["newton"], grid) == (
+        [], [("newton", "InvalidParameter: unknown init strategy 'newton'")])
+
+
+@pytest.mark.parametrize("inits, message", [
+    ("flow", "inits must be a sequence of strategy names, got the string 'flow'"),
+    (None, "inits must be a sequence of strategy names, got None"),
+    ([], "inits must name at least one strategy"),
+], ids=["string", "not-iterable", "empty"])
+def test_solve_with_inits_refuses_what_is_not_a_list_of_inits(grid, inits, message):
+    # the checks of ExperimentSpec: a bare string is not read as characters
+    from logmink.solver import DensityFunction
+
+    with pytest.raises(InvalidParameter, match=message):
+        solve_with_inits(DensityFunction.constant(1.0), inits, grid)
 
 
 # ---------------------------------------------------------------------------

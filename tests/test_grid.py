@@ -26,7 +26,6 @@ from logmink.grid import (
     integrate,
     lm_index,
     synthesize,
-    tangential_gradient,
     _harmonic_sup,
     _legendre_order,
     _trig_table,
@@ -146,20 +145,41 @@ def test_hessian_from_coefficients_has_the_exact_laplacian_trace(L):
     assert np.max(np.abs(h - values)) <= 1e-14 * np.max(np.abs(values))
 
 
+def _ambient_gradient(grid, coeffs):
+    """The gradient of the expansion ``coeffs`` as ambient 3-vectors at the nodes."""
+    gt, gp = grid.gradient_components(coeffs)
+    return gt[:, None] * grid.e_theta + gp[:, None] * grid.e_phi
+
+
 def test_gradient_matches_finite_difference(grid):
     # gradient of u.e3 = cos(theta) is -sin(theta) e_theta
     field = ScalarField(grid, grid.nodes[:, 2])
-    grad = tangential_gradient(field)
+    grad = _ambient_gradient(grid, grid.analyze_values(field.values))
     expected = -np.sin(grid.theta_nodes)[:, None] * grid.e_theta
     assert_allclose(grad, expected, atol=1e-12)
 
 
 def test_gradient_is_tangential(grid):
     rng = np.random.default_rng(13)
-    field = synthesize(HarmonicCoeffs(16, rng.standard_normal(grid.n_coeffs)), grid)
-    grad = tangential_gradient(field)
+    grad = _ambient_gradient(grid, rng.standard_normal(grid.n_coeffs))
     radial = np.einsum("ij,ij->i", grad, grid.nodes)
     assert np.max(np.abs(radial)) < 1e-9
+
+
+@pytest.mark.parametrize("L", [16, 48, 64])
+def test_gradient_of_a_degree_one_harmonic_is_exact(L):
+    # the height a.u has the tangential gradient a - (a.u) u; the real
+    # harmonics of degree one carry the Condon-Shortley sign at m = +-1:
+    # u.e1 = -k Y_11, u.e2 = -k Y_1-1, u.e3 = k Y_10 with k = sqrt(4 pi / 3)
+    grid = build_grid(L)
+    a = np.array([0.3, -0.2, 0.45])
+    k = np.sqrt(4.0 * np.pi / 3.0)
+    coeffs = np.zeros(grid.n_coeffs)
+    coeffs[[lm_index(1, 1), lm_index(1, -1), lm_index(1, 0)]] = k * a * [-1.0, -1.0, 1.0]
+    u = grid.nodes
+    assert np.max(np.abs(grid.synthesize_coeffs(coeffs) - u @ a)) <= 1e-14
+    want = a - (u @ a)[:, None] * u
+    assert np.max(np.abs(_ambient_gradient(grid, coeffs) - want)) <= 1e-14
 
 
 def test_hessian_and_gradient_match_finite_differences():
@@ -189,7 +209,7 @@ def test_hessian_and_gradient_match_finite_differences():
     for got, want in [(h11, f_tt), (h12, (f_tp - cot * f_p) / st),
                       (h22, f_pp / st**2 + cot * f_t)]:
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
-    grad = tangential_gradient(field)[keep]
+    grad = _ambient_gradient(grid, coeffs.values)[keep]
     for got, want in [(np.einsum("ij,ij->i", grad, grid.e_theta[keep]), f_t),
                       (np.einsum("ij,ij->i", grad, grid.e_phi[keep]), f_p / st)]:
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
@@ -205,12 +225,12 @@ def test_spec_holds_only_ring_tables():
         for a in arrays:
             assert not (grid.n_nodes in a.shape and grid.n_coeffs in a.shape), a.shape
             assert (2 * L + 1) ** 2 not in a.shape, a.shape
-        # six (2L+1) x nlat x (L+1) blocks (values, two gradient and three
-        # Hessian parts), the trig table, the ring weights and three
-        # per-coefficient vectors: 26.4 MB at the cap
-        tables = 6 * (2 * L + 1) * grid.nlat * (L + 1)
+        # four (2L+1) x nlat x (L+1) blocks (values and three Hessian parts;
+        # no gradient table), the trig table, the ring weights and three
+        # per-coefficient vectors: 17.7 MB at the cap
+        tables = 4 * (2 * L + 1) * grid.nlat * (L + 1)
         bound = 8 * (tables + grid.nlon * (2 * L + 1) + grid.nlat + 3 * grid.n_coeffs)
-        assert sum(a.nbytes for a in arrays) <= bound < 27e6
+        assert sum(a.nbytes for a in arrays) <= bound < 18e6
 
 
 def _stacked_orders(L, mu):
@@ -262,7 +282,7 @@ def test_transforms_match_dense_basis_columns(L):
     values = grid.synthesize_coeffs(coeffs)
     back = grid.analyze_values(values)
     got = {"values": values, "lap": grid.laplacian_values(values)}
-    got["g1"], got["g2"] = grid.gradient_components(values)
+    got["g1"], got["g2"] = grid.gradient_components(back)
     got["h"], got["h11"], got["h12"], got["h22"] = grid.hessian_components(back)
     want = {name: np.empty(grid.n_nodes) for name in got}
     projection = np.zeros(grid.n_coeffs)
