@@ -42,8 +42,10 @@ from .grid import (
     _require_positive_finite,
     _require_real,
     build_grid,
+    coeff_count,
 )
-from .solver import DensityFunction, SolveOptions, SupportFunction, newton_solve
+from .solver import (DensityFunction, SolveOptions, SupportFunction, _zonal_coefficient,
+                     newton_solve)
 
 _DEFAULT_INITS = ("const:0.7", "const:1.0", "const:1.4", "perturb", "flow")
 
@@ -148,7 +150,8 @@ def gen_density(seed: int, eps: float, lam: float,
     sup over the nodes of ``grid`` (default the bandwidth-16 grid) so that
     sup|f - 1| = eps there exactly.  If the strict bounds 1/lam < f < lam
     fail, the amplitude is shrunk by 0.8 and the check retried; after 100
-    retries :class:`GenerationFailure` is raised.
+    retries :class:`GenerationFailure` is raised.  ``lam_lo`` and ``lam_hi``
+    are the range measured on ``grid``; the density has bandwidth 4.
     """
     seed = _require_integer("seed", seed)
     eps, lam = _require_density_parameters(seed, eps, lam)
@@ -158,7 +161,7 @@ def gen_density(seed: int, eps: float, lam: float,
         grid = build_grid()
 
     shape = np.zeros(grid.n_coeffs)
-    shape[1:25] = np.random.default_rng(seed).standard_normal(24)  # l = 1..4
+    shape[1:coeff_count(4)] = np.random.default_rng(seed).standard_normal(coeff_count(4) - 1)
     g_vals = grid.synthesize_coeffs(shape)
     sup = float(np.max(np.abs(g_vals)))
     unit = g_vals / sup
@@ -167,11 +170,9 @@ def gen_density(seed: int, eps: float, lam: float,
     for _ in range(100):
         f_vals = 1.0 + amp * unit
         if np.all(f_vals > 1.0 / lam) and np.all(f_vals < lam):
-            coeffs = np.zeros(grid.n_coeffs)
-            coeffs[0] = np.sqrt(4.0 * np.pi)
-            coeffs += (amp / sup) * shape
-            return DensityFunction(HarmonicCoeffs(grid.L, coeffs),
-                                   lam_lo=1.0 / lam, lam_hi=lam, grid=grid)
+            coeffs = (amp / sup) * shape[:coeff_count(4)]
+            coeffs[0] = _zonal_coefficient("constant density", 1.0)
+            return DensityFunction(HarmonicCoeffs(4, coeffs), grid=grid)
         amp *= 0.8
     raise GenerationFailure(
         f"could not fit density inside ({1.0 / lam:g}, {lam:g}) after 100 "
@@ -184,10 +185,10 @@ def _perturbed_start(f: DensityFunction, grid: SphericalGrid,
     """Random admissible perturbation of the matched round sphere."""
     base = f.mean() ** (1.0 / 3.0)
     bump = np.zeros(grid.n_coeffs)
-    bump[1:25] = np.random.default_rng(seed).standard_normal(24)  # l = 1..4
+    bump[1:coeff_count(4)] = np.random.default_rng(seed).standard_normal(coeff_count(4) - 1)
     bump *= 0.1 * base / np.linalg.norm(bump)
     coeffs = np.zeros(grid.n_coeffs)
-    coeffs[0] = base * np.sqrt(4.0 * np.pi)
+    coeffs[0] = _zonal_coefficient("round start radius", base)
     for _ in range(60):
         try:
             return SupportFunction(grid, coeffs + bump)

@@ -59,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, ConvexityError, StepFailure
-from .grid import SphericalGrid, _csv_text, _require_positive_finite
+from .errors import ConvergenceFailure, ConvexityError, InvalidParameter, StepFailure
+from .grid import SphericalGrid, _csv_text, _require_positive_finite, coeff_count
 from .solver import (
     DensityFunction,
     SupportFunction,
@@ -102,9 +102,9 @@ class FlowOptions:
     stationary when the undamped projected speed, relative to max |h|,
     drops below ``stationarity_tol`` (the damped increment would shrink the
     degree-l part by 1/(1 + dt kappa l(l+1)) and stop too early), or at time
-    ``t_final`` when that is set (used for shrinking experiments with
-    renormalization off).  After a stationary stop the rescaled profile
-    must satisfy the equation with sup-norm residual at most
+    ``t_final`` when that is set; it must be, with ``renormalize`` off, as
+    the body then shrinks forever.  After a stationary stop the rescaled
+    profile must satisfy the equation with sup-norm residual at most
     ``residual_check`` times the mean density (a relative bound, like
     :class:`SolveOptions` ``tolerance``); set it to None when running with
     a loose stationarity tolerance on purpose.
@@ -124,6 +124,9 @@ class FlowOptions:
             value = getattr(self, name)
             if value is not None:
                 _require_positive_finite(name, value)
+        if not self.renormalize and self.t_final is None:
+            # without the lambda term dh/dt = -f/det W < 0 at every node
+            raise InvalidParameter("the unnormalized flow is never stationary; set t_final")
 
 
 @dataclass
@@ -207,7 +210,7 @@ def run_flow(f: DensityFunction, h0: SupportFunction | None = None,
         a, delta = _increment(h, fvals, lam, dt_step)
         if opts.renormalize:
             # reflect the translation modes about their previous values
-            delta[1:4] = -delta[1:4]
+            delta[1:coeff_count(1)] = -delta[1:coeff_count(1)]
         try:
             cand = SupportFunction(grid, h.coeffs + delta)
         except ConvexityError:

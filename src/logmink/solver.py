@@ -41,7 +41,6 @@ from .grid import (
     _require_fits,
     _require_integer,
     _require_positive_finite,
-    _require_real,
     build_grid,
     coeff_count,
     lm_index,
@@ -220,38 +219,29 @@ class SupportFunction:
 class DensityFunction:
     """Positive density on the sphere, stored as harmonic coefficients.
 
-    Carries two-sided bounds ``lam_lo <= f <= lam_hi``, checked at the nodes
-    of the construction grid.  For a Holder-type regularity proxy, apply
-    :func:`holder_proxy_seminorm` to :meth:`field_on`; it compares nodes on
-    nearby rings only, in O(n) memory and O(n L) time for n nodes.
+    Construction synthesizes ``f`` on its check grid (``grid``, else
+    bandwidth ``max(L, 4)``) and refuses it unless every node value is
+    positive and finite; ``lam_lo`` and ``lam_hi`` are the least and greatest
+    node value, the measured range of the paper's class ``1/lam <= f <= lam``.
+    For a Holder-type regularity proxy, apply :func:`holder_proxy_seminorm`
+    to :meth:`field_on`; it compares nodes on nearby rings only, in O(n)
+    memory and O(n L) time for n nodes.
     """
 
-    def __init__(self, coeffs: HarmonicCoeffs, lam_lo: float, lam_hi: float,
-                 grid: SphericalGrid | None = None):
-        _require_real("lam_lo", lam_lo)
-        _require_real("lam_hi", lam_hi)
-        if not (0.0 < lam_lo <= lam_hi):
-            raise InvalidParameter(
-                f"density bounds must satisfy 0 < lam_lo <= lam_hi, got "
-                f"({lam_lo}, {lam_hi})"
-            )
+    def __init__(self, coeffs: HarmonicCoeffs, grid: SphericalGrid | None = None):
         self.coeffs = coeffs
-        self.lam_lo = float(lam_lo)
-        self.lam_hi = float(lam_hi)
         check_grid = grid if grid is not None else build_grid(max(coeffs.L, 4))
         vals = self.values_on(check_grid)
-        tol = 1e-12 * max(1.0, lam_hi)
-        if np.min(vals) < lam_lo - tol or np.max(vals) > lam_hi + tol:
-            raise InvalidParameter(
-                f"density violates its bounds [{lam_lo}, {lam_hi}]: "
-                f"range [{vals.min():.6g}, {vals.max():.6g}]"
-            )
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        # written as not (lo > 0 and hi < inf) so that NaN and inf fail too
+        if not (lo > 0.0 and hi < np.inf):
+            raise InvalidParameter(f"density is not positive (min {lo:.6g})" if not lo > 0.0
+                                   else f"density is not finite (max {hi:.6g})")
+        self.lam_lo, self.lam_hi = lo, hi
 
     @classmethod
     def constant(cls, value: float) -> "DensityFunction":
-        c = np.zeros(1)
-        c[0] = _zonal_coefficient("constant density", value)
-        return cls(HarmonicCoeffs(0, c), value, value)
+        return cls(HarmonicCoeffs(0, np.array([_zonal_coefficient("constant density", value)])))
 
     @classmethod
     def from_harmonics(cls, terms, grid: SphericalGrid | None = None) -> "DensityFunction":
@@ -259,8 +249,7 @@ class DensityFunction:
 
         Each harmonic is scaled to unit sup-norm over the whole sphere (not
         just the grid nodes) before its amplitude is applied, so
-        ``(1, 0, 0.1)`` produces exactly ``1 + 0.1 (u . e3)``.  Bounds are
-        the attained range on the grid.
+        ``(1, 0, 0.1)`` produces exactly ``1 + 0.1 (u . e3)``.
         """
         try:
             triples = [(l, m, float(amp)) for l, m, amp in terms]
@@ -279,13 +268,8 @@ class DensityFunction:
         c = np.zeros(coeff_count(Lmax))
         for l, m, amp in terms:
             c[lm_index(l, m)] += amp / _harmonic_sup(l, m)
-        c[0] += np.sqrt(4.0 * np.pi)
-        coeffs = HarmonicCoeffs(Lmax, c)
-        vals = grid.synthesize_coeffs(coeffs.embedded(grid.L).values)
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo <= 0.0:
-            raise InvalidParameter(f"density is not positive (min {lo:.6g})")
-        return cls(coeffs, lo, hi, grid=grid)
+        c[0] += _zonal_coefficient("constant density", 1.0)
+        return cls(HarmonicCoeffs(Lmax, c), grid=grid)
 
     def values_on(self, grid: SphericalGrid) -> np.ndarray:
         return grid.synthesize_coeffs(self.coeffs.embedded(grid.L).values)
@@ -523,12 +507,9 @@ def _initial_iterate(f: DensityFunction, h0: SupportFunction | None,
         if grid is not None:
             require_same_grid(grid, h0.grid, "explicit grid and initial iterate")
         return h0
-    mean = f.mean()
-    if not mean > 0.0:
-        raise InvalidParameter(f"density mean must be positive, got {mean:g}")
     if grid is None:
         grid = build_grid(DEFAULT_BANDWIDTH)
-    return SupportFunction.constant(grid, mean ** (1.0 / 3.0))
+    return SupportFunction.constant(grid, f.mean() ** (1.0 / 3.0))
 
 
 def newton_solve(f: DensityFunction, h0: SupportFunction | None = None,

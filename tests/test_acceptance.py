@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from logmink.cli import main
 from logmink.convex import (
     ball_offset_outer,
     cone_volume_measure,
@@ -289,3 +290,44 @@ def test_criterion_12_suite_determinism():
     second = run_experiment(spec).to_csv()
     assert first == second
     print(f"criterion 12: {len(first)} report bytes reproduced exactly")
+
+
+# Every command at L <= 16, in dependency order (measure, john and diag
+# read the solved body), then one run per error exit.
+_RERUN_CORPUS = [
+    ["solve", "--f", "random:3,0.05,2.0", "--write-obj", "--out", "solve"],
+    ["flow", "--f", "harmonics:[(2,1,0.05)]", "--write-obj", "--snapshot-every", "100",
+     "--out", "flow"],
+    *[[command, "--obj", "solve/body.obj", "--out", command]
+      for command in ("measure", "john", "diag")],
+    *[["experiment", "--kind", kind, "--count", "2", "--out", kind]
+      for kind in ("uniqueness", "bound", "diagnostics")],
+    ["solve", "--f", "const:0", "--out", "zero"],
+    ["measure", "--obj", "missing.obj", "--out", "missing"],
+    ["solve", "--f", "harmonics:[(1,0,2.0)]", "--out", "negative"],
+    ["solve", "--grid-L", "8", "--tol", "1e-8", "--f", "random:2,0.05,2.0", "--out", "floor"],
+]
+
+
+def test_criterion_12_every_command_reruns_byte_identically(tmp_path, monkeypatch, capsys):
+    """The CLI corpus, run twice in fresh directories, writes the same bytes
+    to every file, stdout and stderr, with the same exit codes."""
+    runs = []
+    for name in ("first", "second"):
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.chdir(root)
+        outcomes = []
+        for argv in _RERUN_CORPUS:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        files = {str(path.relative_to(root)): path.read_bytes()
+                 for path in sorted(root.rglob("*")) if path.is_file()}
+        runs.append((outcomes, files))
+    assert runs[0] == runs[1]
+    outcomes, files = runs[0]
+    assert [code for code, _, _ in outcomes] == [0] * 8 + [2, 1, 2, 1]
+    assert "flow/body_000200.obj" in files
+    print(f"criterion 12: {len(outcomes)} runs and {len(files)} files "
+          f"({sum(map(len, files.values()))} bytes) reproduced exactly")

@@ -550,6 +550,16 @@ def test_config_boolean_false_turns_renormalization_off(tmp_path, capsys):
     assert trace["config"] != trace["on"]
 
 
+def test_unnormalized_flow_without_a_final_time_exits_2(tmp_path, capsys):
+    # it could never become stationary, so it is refused before any step
+    out = tmp_path / "out"
+    assert main(["flow", "--f", "const:1.0", "--no-renormalize", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: the unnormalized flow is never stationary; "
+                            "set t_final\n")
+    assert not out.exists()
+
+
 def test_missing_obj_exits_1(tmp_path, capsys):
     missing = str(tmp_path / "nope.obj")
     assert main(["measure", "--obj", missing, "--out", str(tmp_path)]) == 1

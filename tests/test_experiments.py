@@ -13,7 +13,7 @@ from logmink.experiments import (
     run_experiment,
     solve_with_inits,
 )
-from logmink.grid import SphericalGrid, build_grid, lm_index
+from logmink.grid import SphericalGrid, build_grid, evaluate_harmonics, lm_index
 from logmink.solver import SolveOptions, ma_residual
 
 
@@ -31,7 +31,7 @@ def test_gen_density_exact_sup(grid):
         f = gen_density(seed, eps=0.05, lam=2.0, grid=grid)
         dev = np.max(np.abs(f.values_on(grid) - 1.0))
         assert abs(dev - 0.05) < 1e-12
-        assert f.lam_lo == 0.5 and f.lam_hi == 2.0
+        assert max(1.0 - f.lam_lo, f.lam_hi - 1.0) == dev
 
 
 def test_gen_density_deterministic(grid):
@@ -52,7 +52,18 @@ def test_gen_density_draws_one_normal_per_low_degree_harmonic(grid):
             shape[lm_index(l, m)] = rng.standard_normal()
     sup = float(np.max(np.abs(grid.synthesize_coeffs(shape))))
     f = gen_density(42, eps=0.05, lam=2.0, grid=grid)
-    assert np.array_equal(f.coeffs.values[1:], (0.05 / sup) * shape[1:])
+    assert f.coeffs.L == 4
+    assert np.array_equal(f.coeffs.values[1:], (0.05 / sup) * shape[1:25])
+
+
+def test_gen_density_samples_on_every_grid(grid):
+    # the density has bandwidth 4, so one drawn on the L = 16 grid samples
+    # on a coarser grid too, as the same function
+    f = gen_density(42, eps=0.05, lam=2.0, grid=grid)
+    small = build_grid(8)
+    assert_allclose(f.values_on(small),
+                    evaluate_harmonics(f.coeffs, small.theta_nodes, small.phi_nodes),
+                    rtol=0, atol=1e-14)
 
 
 def test_gen_density_zero_eps(grid):

@@ -82,7 +82,7 @@ def test_run_flow_halving_gives_up(grid):
     # far too large to keep h positive
     h = SupportFunction.constant(grid, 1.0)
     f = DensityFunction.from_harmonics([(4, 0, 0.3)], grid=grid)
-    opts = FlowOptions(dt_init=1e20, dt_max=1e20, renormalize=False,
+    opts = FlowOptions(dt_init=1e20, dt_max=1e20, renormalize=False, t_final=1e20,
                        residual_check=None)
     with pytest.raises(StepFailure):
         run_flow(f, h0=h, opts=opts)
@@ -121,6 +121,14 @@ def test_flow_options_validation():
                  "residual_check"):
         with pytest.raises(InvalidParameter, match=f"{name} must be a real number, got 'x'"):
             FlowOptions(**{name: "x"})
+
+
+def test_unnormalized_flow_needs_a_final_time():
+    # without the lambda term dh/dt = -f/det W < 0 everywhere, so a run
+    # without t_final would take every one of its 100000 steps and fail
+    with pytest.raises(InvalidParameter, match="never stationary; set t_final"):
+        FlowOptions(renormalize=False)
+    assert FlowOptions(renormalize=False, t_final=0.5).t_final == 0.5
 
 
 def test_run_flow_grid_mismatch(grid):
@@ -232,8 +240,7 @@ def test_flow_scale_equivariance(grid):
     # step control (lambda, kappa, the relative rate) unchanged
     s = 2.0
     f = gen_density(5, 0.05, 2.0, grid=grid)
-    fs = DensityFunction(HarmonicCoeffs(f.coeffs.L, s ** 3 * f.coeffs.values),
-                         s ** 3 * f.lam_lo, s ** 3 * f.lam_hi, grid=grid)
+    fs = DensityFunction(HarmonicCoeffs(f.coeffs.L, s ** 3 * f.coeffs.values), grid=grid)
     base = run_flow(f, grid=grid)
     scaled = run_flow(fs, grid=grid)
     assert scaled.reason == base.reason == "stationary"

@@ -205,22 +205,33 @@ def test_density_validation():
         DensityFunction.constant(0.0)
     with pytest.raises(InvalidParameter):
         DensityFunction.constant(-2.0)
-    with pytest.raises(InvalidParameter):
-        DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
-                        lam_lo=2.0, lam_hi=3.0)
-    for lo, hi in ((0.0, 1.0), (1.5, 0.5), (np.nan, 1.0)):
-        with pytest.raises(InvalidParameter, match="must satisfy 0 < lam_lo <= lam_hi"):
-            DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
-                            lam_lo=lo, lam_hi=hi)
-    for lo, hi, message in (("x", 1.0, "lam_lo must be a real number, got 'x'"),
-                            (0.5, None, "lam_hi must be a real number, got None")):
-        with pytest.raises(InvalidParameter, match=message):
-            DensityFunction(HarmonicCoeffs(0, np.array([np.sqrt(4 * np.pi)])),
-                            lam_lo=lo, lam_hi=hi)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=r"density is not positive \(min -0.282095\)"):
+        DensityFunction(HarmonicCoeffs(0, np.array([-1.0])))
+    # a positive density whose node values overflow: (1 + u.e)^4 peaks
+    # 1.38 times above its largest coefficient
+    grid4 = build_grid(4)
+    peak = grid4.analyze_values((1.0 + grid4.nodes @ np.ones(3) / np.sqrt(3.0)) ** 4)
+    with np.errstate(over="ignore"), pytest.raises(InvalidParameter, match="not finite"):
+        DensityFunction(HarmonicCoeffs(4, 1.5e308 / np.abs(peak).max() * peak))
+    with pytest.raises(InvalidParameter, match="density is not positive"):
         DensityFunction.from_harmonics([(1, 0, 2.0)])
     with pytest.raises(InvalidParameter):
         DensityFunction.from_harmonics([])
+
+
+def test_density_range_is_measured_on_the_check_grid(grid):
+    # lam_lo and lam_hi are the node range where the density is checked:
+    # the given grid, else bandwidth max(L, 4)
+    for f, check_grid in ((DensityFunction.constant(2.5), build_grid(4)),
+                          (DensityFunction.from_harmonics([(6, 2, 0.3)]), build_grid(6)),
+                          (DensityFunction.from_harmonics([(1, 0, 0.1)], grid=grid), grid),
+                          (gen_density(3, 0.3, 1.5, grid=grid), grid)):
+        values = f.values_on(check_grid)
+        assert (f.lam_lo, f.lam_hi) == (values.min(), values.max())
+    # a random density lies strictly inside the class 1/lam < f < lam
+    for seed in range(5):
+        f = gen_density(seed, 1.5, 2.0, grid=grid)
+        assert 0.5 < f.lam_lo < 1.0 < f.lam_hi < 2.0
 
 
 def test_holder_proxy_seminorm(grid):
@@ -263,7 +274,7 @@ def test_density_does_not_compute_seminorm(monkeypatch):
 
     monkeypatch.setattr("logmink.solver.holder_proxy_seminorm", fail)
     f = gen_density(3, 0.05, 2.0)
-    assert (f.lam_lo, f.lam_hi) == (0.5, 2.0)
+    assert abs(max(1.0 - f.lam_lo, f.lam_hi - 1.0) - 0.05) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +593,6 @@ def test_newton_unreachable_tolerance_fails_loudly(grid, monkeypatch):
     assert err.value.residual is not None and err.value.residual > 0.0
 
 
-def test_default_start_needs_a_positive_mean(grid):
-    # the bounds check at the nodes allows 1e-12 of slack, so a density
-    # with mean -1e-13 can be built; both solvers refuse to start from the
-    # round sphere of its mean instead of taking a cube root of it
-    mean = -1e-13
-    f = DensityFunction(HarmonicCoeffs(0, np.array([mean * np.sqrt(4.0 * np.pi)])),
-                        1e-13, 1e-13)
-    assert f.mean() < 0.0
-    for solve in (newton_solve, run_flow):
-        with pytest.raises(InvalidParameter, match="mean must be positive"):
-            solve(f, grid=grid)
-
-
 def test_newton_grid_conflict(grid):
     f = DensityFunction.constant(1.0)
     h0 = SupportFunction.constant(grid, 1.0)
@@ -641,9 +639,8 @@ def test_solve_options_validation():
 
 
 def _dilated(f, factor, grid):
-    """The density factor * f with bounds scaled to match."""
-    return DensityFunction(HarmonicCoeffs(f.coeffs.L, factor * f.coeffs.values),
-                           factor * f.lam_lo, factor * f.lam_hi, grid=grid)
+    """The density factor * f."""
+    return DensityFunction(HarmonicCoeffs(f.coeffs.L, factor * f.coeffs.values), grid=grid)
 
 
 def test_newton_scale_equivariance(grid):
@@ -667,8 +664,7 @@ def test_newton_rotation_equivariance_about_e3(grid):
 
     opts = SolveOptions(tolerance=1e-8)
     f = gen_density(3, 0.05, 2.0, grid=grid)
-    turned = DensityFunction(analyze(ScalarField(grid, rolled(f.values_on(grid)))),
-                             f.lam_lo, f.lam_hi, grid=grid)
+    turned = DensityFunction(analyze(ScalarField(grid, rolled(f.values_on(grid)))), grid=grid)
     h = newton_solve(f, grid=grid, opts=opts).h
     ht = newton_solve(turned, grid=grid, opts=opts).h
     assert np.max(np.abs(ht.values - rolled(h.values))) <= 1e-12
