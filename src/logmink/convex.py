@@ -8,8 +8,9 @@ support functions, minimum-volume enclosing ellipsoids, and the projection
 diagnostics used to detect degenerating (blowing-down) bodies.
 
 Memory is linear in the data: the hull's vertex-facet consistency check
-and support evaluation take a maximum over blocks of vertices, so a hull
-with V vertices and F facets needs O(V + F) memory, never a V x F matrix.
+takes a maximum over blocks of facets, and support evaluation over blocks
+of vertices, so a hull with V vertices and F facets needs O(V + F) memory,
+never a V x F matrix.
 
 Conventions
 -----------
@@ -23,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .errors import (
 )
 from .grid import (
     ScalarField,
-    _csv_cell,
     _csv_rows,
     _csv_text,
     _read_only,
@@ -66,6 +67,7 @@ _TRIU_WEIGHT = np.where(_TRIU[0] == _TRIU[1], 1.0, 2.0)
 _BASIS = np.zeros((len(_TRIU[0]), 4, 4))
 _BASIS[np.arange(len(_TRIU[0])), _TRIU[0], _TRIU[1]] = 1.0
 _BASIS[np.arange(len(_TRIU[0])), _TRIU[1], _TRIU[0]] = 1.0
+_BASIS_ROWS = _BASIS.reshape(len(_TRIU[0]), 16)  # the matrix np.tensordot forms
 
 
 def _as_points(points, minimum: int) -> np.ndarray:
@@ -93,6 +95,15 @@ def _orthobasis(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(normals, t1)
     return t1, t2
+
+
+def _unique_ints(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array by one sort and a neighbour test,
+    several times cheaper than numpy's hash-based path at hull sizes."""
+    flat = np.sort(values, axis=None)
+    first = np.ones(flat.shape, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    return flat[first]
 
 
 def _max_dot(vertices: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -336,7 +347,11 @@ def _planar_facets(coords: np.ndarray, normals: np.ndarray, min_area: float):
     """
     offsets = np.einsum("gkj,gj->gk", coords, normals).max(axis=1)
     t1, t2 = _orthobasis(normals)
-    base = coords.mean(axis=1)
+    # coords.mean(axis=1) as numpy sums it: in member order, from +0.0
+    base = np.zeros(normals.shape)
+    for j in range(coords.shape[1]):
+        base += coords[:, j]
+    base /= coords.shape[1]
     rel = coords - base[:, None, :]
     x = np.einsum("gkj,gj->gk", rel, t1)
     y = np.einsum("gkj,gj->gk", rel, t2)
@@ -363,8 +378,10 @@ def convex_hull_3d(points) -> Polytope:
     triangle index.  The facet geometry is computed in batch, one batch per
     distinct vertex count, so no Python loop runs over the facets except to
     list their vertex loops.  Every vertex is checked against every
-    merged facet plane in O(V + F) memory, blocks of vertices at a time;
-    a violation beyond 1e-9 raises :class:`InvalidParameter`.  Raises
+    merged facet plane in O(V + F) memory: blocks of facet rows, at most
+    ``_BLOCK_ENTRIES`` products each, meet all vertices at once, and each
+    facet's maximum runs along the contiguous axis of its row.  A violation
+    beyond 1e-9 raises :class:`InvalidParameter`.  Raises
     :class:`DimensionDeficient` for coplanar input.
     """
     from scipy.spatial import ConvexHull, QhullError
@@ -376,7 +393,8 @@ def convex_hull_3d(points) -> Polytope:
     except QhullError as exc:
         raise DimensionDeficient(f"hull construction failed: {exc}") from exc
 
-    vertex_ids = np.array(hull.vertices)
+    # qhull's vertices of a 3-d hull are the distinct simplex corners
+    vertex_ids = _unique_ints(hull.simplices)
     relabel = np.full(pts.shape[0], -1, dtype=int)
     relabel[vertex_ids] = np.arange(vertex_ids.shape[0])
     vertices = pts[vertex_ids]
@@ -398,19 +416,25 @@ def convex_hull_3d(points) -> Polytope:
     for i, j in zip(first[merge].tolist(), second[merge].tolist()):
         uf.union(i, j)
     roots = np.arange(n_tri)
-    touched = np.unique(np.concatenate((first[merge], second[merge])))
+    touched = _unique_ints(np.concatenate((first[merge], second[merge])))
     roots[touched] = [uf.find(int(i)) for i in touched]
-    # union keeps the smaller root, so sorted roots order groups by their
-    # smallest triangle index
-    _, group = np.unique(roots, return_inverse=True)
-    n_groups = int(group.max()) + 1
+    # union keeps the smaller root, so each root is its group's smallest
+    # triangle index, and ranking the roots orders groups by it
+    is_root = np.zeros(n_tri, dtype=bool)
+    is_root[roots] = True
+    rank = np.cumsum(is_root) - 1
+    group = rank[roots]
+    n_groups = int(rank[-1]) + 1
 
-    facet_normals = np.zeros((n_groups, 3))
-    np.add.at(facet_normals, group, tri_areas[:, None] * normals)
+    # area-weighted sums in triangle order, as np.add.at would add them
+    weighted = tri_areas[:, None] * normals
+    facet_normals = np.column_stack([
+        np.bincount(group, weights=weighted[:, c], minlength=n_groups)
+        for c in range(3)])
     facet_normals /= np.linalg.norm(facet_normals, axis=1)[:, None]
 
     # sorted member point ids of every group, groups contiguous
-    keys = np.unique(group[:, None] * pts.shape[0] + simplices)
+    keys = _unique_ints(group[:, None] * pts.shape[0] + simplices)
     member_group, members = np.divmod(keys, pts.shape[0])
     counts = np.bincount(member_group, minlength=n_groups)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -419,7 +443,7 @@ def convex_hull_3d(points) -> Polytope:
     offsets = np.empty(n_groups)
     areas = np.empty(n_groups)
     loops = [()] * n_groups
-    for k in np.unique(counts).tolist():
+    for k in _unique_ints(counts).tolist():
         sel = np.nonzero(counts == k)[0]
         ids = members[starts[sel][:, None] + np.arange(k)]
         offsets[sel], order, areas[sel] = _planar_facets(
@@ -428,9 +452,17 @@ def convex_hull_3d(points) -> Polytope:
                            relabel[np.take_along_axis(ids, order, axis=1)].tolist()):
             loops[g] = tuple(loop)
 
-    # every vertex against every facet, O(V + F) in memory: subtracting a
-    # per-facet offset commutes with the maximum over vertices
-    worst = float(np.max(_max_dot(vertices, facet_normals) - offsets))
+    # every vertex against every facet, O(V + F) in memory: blocks of facet
+    # rows meet all vertices at once in one reused buffer, and each row's
+    # maximum runs along the contiguous axis of its products
+    rows = min(n_groups, max(1, _BLOCK_ENTRIES // vertices.shape[0]))
+    products = np.empty((rows, vertices.shape[0]))
+    top = np.empty(n_groups)
+    for start in range(0, n_groups, rows):
+        stop = min(n_groups, start + rows)
+        block = np.matmul(facet_normals[start:stop], vertices.T, out=products[:stop - start])
+        block.max(axis=1, out=top[start:stop])
+    worst = float(np.max(top - offsets))
     if worst > _VERTEX_SLACK:
         raise InvalidParameter(
             f"internal hull inconsistency: vertex violates a facet by {worst:.3e}"
@@ -530,7 +562,25 @@ def _step_to_boundary(x: np.ndarray, dx: np.ndarray) -> float:
     shrinking = dx < 0.0
     if not shrinking.any():
         return 1.0
-    return min(1.0, float(np.min(-x[shrinking] / dx[shrinking])))
+    return min(1.0, float((-x[shrinking] / dx[shrinking]).min()))
+
+
+@cache
+def _getrf_getrs():
+    """LAPACK's dgetrf and dgetrs, looked up once; scipy loads on first use."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    return dgetrf, dgetrs
+
+
+def _lu_factor(K: np.ndarray):
+    """LAPACK getrf of the square K, overwriting it: ``(lu, piv, info)``."""
+    return _getrf_getrs()[0](K, overwrite_a=True)
+
+
+def _lu_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the ``(lu, piv)`` of :func:`_lu_factor`, overwriting ``rhs``."""
+    return _getrf_getrs()[1](*factor, rhs, overwrite_b=True)[0]
 
 
 def _interior_point_step(A: np.ndarray, shape: np.ndarray, z: np.ndarray,
@@ -544,41 +594,61 @@ def _interior_point_step(A: np.ndarray, shape: np.ndarray, z: np.ndarray,
     z_i / s_i grows without bound on the support of the ellipsoid, and
     the condensed matrix loses its H part to rounding; so constraints with
     z_i / s_i above _AUGMENT_ABOVE, while there are at most ten, keep dz_i
-    as an unknown of a (10 + k)-square quasi-definite system instead.
-    Primal and dual take one common step.  Returns the next (shape, z, s);
-    raises ``LinAlgError`` on a non-finite direction or when no halving
+    as an unknown of a (10 + k)-square quasi-definite system instead,
+    factored and solved by LAPACK getrf/getrs.  Primal and dual take one
+    common step.  Returns the next (shape, z, s); raises ``LinAlgError`` on
+    a singular Newton matrix, a non-finite direction or when no halving
     keeps M positive definite.
-    """
-    from scipy.linalg import lu_factor, lu_solve
 
+    OpenBLAS rounds a product differently on a C-contiguous and on a
+    Fortran-ordered operand.  ``A`` as built is not C-contiguous, and the
+    far rows ``A[far]`` are, so the far-block products run on a C-contiguous
+    copy of ``A`` even when no row is augmented (and the mask copies are
+    skipped), while ``A @ dv`` and ``A.T @ z`` run on ``A`` itself: every
+    step is the same to the last bit whichever rows are augmented.
+    """
     m, n = A.shape
     W = np.linalg.inv(shape)
     WE = W @ _BASIS
     ratio = z / s
     near = ratio > _AUGMENT_ABOVE
-    if near.sum() > n:
+    k = int(np.count_nonzero(near))
+    if 0 < k <= n:
+        far = ~near
+    else:
         # more such rows than unknowns cannot all be independent, and their
         # condensed sum then keeps the Newton matrix well conditioned
-        near[:] = False
-    far = ~near
-    A_far, A_near = A[far], A[near]
+        k, far = 0, slice(None)
+    A_far = np.ascontiguousarray(A[far])
     condensed = (np.einsum("kij,lji->kl", WE, WE)
                  + (A_far * ratio[far, None]).T @ A_far)
-    factor = lu_factor(np.block([[condensed, A_near.T],
-                                 [A_near, np.diag(-1.0 / ratio[near])]]),
-                       check_finite=False)
+    if k:
+        A_near = A[near]
+        system = np.empty((n + k, n + k), order="F")
+        system[:n, :n] = condensed
+        system[:n, n:] = A_near.T
+        system[n:, :n] = A_near
+        system[n:, n:] = np.diag(-1.0 / ratio[near])
+    else:
+        system = condensed
+    lu, piv, info = _lu_factor(system)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular interior-point Newton matrix (zero pivot {info})")
     # dual residual of tr(W E_k) = (A^T z)_k, moved to the right-hand side
     dual = W[_TRIU] * _TRIU_WEIGHT - A.T @ z
 
     def direction(complementarity):
-        rhs = np.concatenate((dual + A_far.T @ (complementarity[far] / s[far]),
-                              complementarity[near] / z[near]))
-        solution = lu_solve(factor, rhs, check_finite=False)
+        rhs = dual + A_far.T @ (complementarity[far] / s[far])
+        if k:
+            rhs = np.concatenate((rhs, complementarity[near] / z[near]))
+        solution = _lu_solve((lu, piv), rhs)
         dv = solution[:n]
         ds = -(A @ dv)
         dz = -(complementarity + z * ds) / s
-        dz[near] = solution[n:]
-        if not (np.all(np.isfinite(dv)) and np.all(np.isfinite(dz))):
+        if k:
+            dz[near] = solution[n:]
+        if not (np.isfinite(dv).all() and np.isfinite(dz).all()):
             raise np.linalg.LinAlgError("non-finite interior-point direction")
         return dv, ds, dz
 
@@ -591,7 +661,8 @@ def _interior_point_step(A: np.ndarray, shape: np.ndarray, z: np.ndarray,
 
     alpha = _FRACTION_TO_BOUNDARY * min(_step_to_boundary(s, ds),
                                         _step_to_boundary(z, dz))
-    d_shape = np.tensordot(dv, _BASIS, axes=1)
+    # np.tensordot(dv, _BASIS, axes=1), the same product without its wrapper
+    d_shape = np.dot(dv.reshape(1, n), _BASIS_ROWS).reshape(4, 4)
     for _ in range(_MAX_HALVINGS):
         try:
             np.linalg.cholesky(shape + alpha * d_shape)
@@ -768,7 +839,7 @@ def ball_offset_outer(P: Polytope, radius: float, n_directions: int = 2000) -> P
 
 def polytope_to_obj(P: Polytope) -> str:
     """OBJ text: one `v` line per vertex, one `f` line per facet (1-based)."""
-    lines = ["v " + " ".join(map(_csv_cell, xyz)) for xyz in P.vertices.tolist()]
+    lines = ["v %r %r %r" % tuple(xyz) for xyz in P.vertices.tolist()]
     lines += ["f " + " ".join(str(i + 1) for i in loop) for loop in P.loops]
     return "\n".join(lines) + "\n"
 
@@ -781,7 +852,7 @@ def polytope_from_obj(text: str) -> Polytope:
     lines are validated for index range only.
     """
     verts = []
-    faces = []
+    indices = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -798,23 +869,24 @@ def polytope_from_obj(text: str) -> Polytope:
             if len(parts) < 4:
                 raise InvalidParameter(f"OBJ line {lineno}: face needs >= 3 indices")
             try:
-                faces.append([int(p.split("/")[0]) for p in parts[1:]])
+                indices.extend([int(p.split("/")[0]) for p in parts[1:]])
             except ValueError as exc:
                 raise InvalidParameter(f"OBJ line {lineno}: bad face index") from exc
     if not verts:
         raise InvalidParameter("OBJ text contains no vertices")
     n = len(verts)
-    for face in faces:
-        for idx in face:
-            if idx < 1 or idx > n:
-                raise InvalidParameter(f"OBJ face index {idx} out of range 1..{n}")
+    # int64, or an exact object array when an index does not fit int64
+    idx = np.array(indices)
+    bad = np.flatnonzero((idx < 1) | (idx > n))
+    if bad.size:
+        raise InvalidParameter(f"OBJ face index {indices[bad[0]]} out of range 1..{n}")
     return convex_hull_3d(np.array(verts))
 
 
 def measure_to_csv(measure: DiscreteMeasure) -> str:
     """CSV with header nx,ny,nz,weight and full-precision rows."""
     atoms = np.column_stack((measure.vectors, measure.weights))
-    return _csv_text("nx,ny,nz,weight", atoms.tolist())
+    return _csv_text("nx,ny,nz,weight", atoms)
 
 
 def measure_from_csv(text: str) -> DiscreteMeasure:

@@ -634,10 +634,19 @@ def _csv_cell(value) -> str:
 
 
 def _csv_text(header: str, rows, head=(), tail=()) -> str:
-    """CSV text: ``# `` comments ``head``, the header, the rows, comments ``tail``."""
+    """CSV text: ``# `` comments ``head``, the header, the rows, comments ``tail``.
+
+    ``rows`` is a sequence of rows of cells, or a 2-D float array whose rows
+    go through one ``%r`` template: ``%r`` of a Python float is its repr,
+    the float rule of :func:`_csv_cell`, so both give the same bytes.
+    """
     lines = [f"# {line}" for line in head]
     lines.append(header)
-    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    if isinstance(rows, np.ndarray):
+        template = ",".join(["%r"] * rows.shape[1])
+        lines.extend(template % tuple(row) for row in rows.tolist())
+    else:
+        lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     lines.extend(f"# {line}" for line in tail)
     return "\n".join(lines) + "\n"
 
@@ -670,7 +679,7 @@ def _csv_rows(text: str, header: str, what: str) -> tuple[list[str], np.ndarray]
 def field_to_csv(field: ScalarField) -> str:
     """Serialize a field as ``theta,phi,value`` rows, one per node (radians)."""
     nodes = np.column_stack((field.grid.theta_nodes, field.grid.phi_nodes, field.values))
-    return _csv_text("theta,phi,value", nodes.tolist(), head=[f"grid_L={field.grid.L}"])
+    return _csv_text("theta,phi,value", nodes, head=[f"grid_L={field.grid.L}"])
 
 
 def field_from_csv(text: str, grid: SphericalGrid | None = None) -> ScalarField:

@@ -701,6 +701,99 @@ def test_ellipsoid_of_the_inscribed_unit_sphere_is_the_unit_ball(monkeypatch):
     assert np.max(np.abs(E.center)) <= 1e-14
 
 
+def _reference_interior_point_step(A, shape, z, s):
+    """The interior-point step as first written: boolean masks on every row,
+    ``np.block`` and scipy's ``lu_factor``/``lu_solve``."""
+    from scipy.linalg import lu_factor, lu_solve
+
+    m, n = A.shape
+    W = np.linalg.inv(shape)
+    WE = W @ convex._BASIS
+    ratio = z / s
+    near = ratio > convex._AUGMENT_ABOVE
+    if near.sum() > n:
+        near[:] = False
+    far = ~near
+    A_far, A_near = A[far], A[near]
+    condensed = (np.einsum("kij,lji->kl", WE, WE)
+                 + (A_far * ratio[far, None]).T @ A_far)
+    factor = lu_factor(np.block([[condensed, A_near.T],
+                                 [A_near, np.diag(-1.0 / ratio[near])]]),
+                       check_finite=False)
+    dual = W[convex._TRIU] * convex._TRIU_WEIGHT - A.T @ z
+
+    def direction(complementarity):
+        rhs = np.concatenate((dual + A_far.T @ (complementarity[far] / s[far]),
+                              complementarity[near] / z[near]))
+        solution = lu_solve(factor, rhs, check_finite=False)
+        dv = solution[:n]
+        ds = -(A @ dv)
+        dz = -(complementarity + z * ds) / s
+        dz[near] = solution[n:]
+        return dv, ds, dz
+
+    mu = float(z @ s) / m
+    _, ds, dz = direction(z * s)
+    mu_affine = float((s + convex._step_to_boundary(s, ds) * ds)
+                      @ (z + convex._step_to_boundary(z, dz) * dz)) / m
+    centering = (mu_affine / mu) ** 3
+    dv, ds, dz = direction(z * s + ds * dz - centering * mu)
+    alpha = convex._FRACTION_TO_BOUNDARY * min(convex._step_to_boundary(s, ds),
+                                               convex._step_to_boundary(z, dz))
+    d_shape = np.tensordot(dv, convex._BASIS, axes=1)
+    for _ in range(convex._MAX_HALVINGS):
+        try:
+            np.linalg.cholesky(shape + alpha * d_shape)
+            break
+        except np.linalg.LinAlgError:
+            alpha *= 0.5
+    return shape + alpha * d_shape, z + alpha * dz, s + alpha * ds
+
+
+def test_interior_point_step_equals_the_reference_bit_for_bit(newton_boundaries,
+                                                             monkeypatch):
+    # every step of the lean path (no masks without augmented rows, one
+    # LAPACK factor, a C-contiguous far block) equals the reference's
+    # (shape, z, s) bitwise, with no, one to ten and more than ten rows
+    # above _AUGMENT_ABOVE
+    near_counts = set()
+    step = convex._interior_point_step
+
+    def checked_step(A, shape, z, s):
+        near_counts.add(int(np.sum(z / s > convex._AUGMENT_ABOVE)))
+        expected = _reference_interior_point_step(A, shape, z, s)
+        got = step(A, shape, z, s)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    monkeypatch.setattr(convex, "_interior_point_step", checked_step)
+    bodies = [convex_hull_3d(points) for points in newton_boundaries]
+    bodies.append(polytope_from_support(SupportFunction.constant(build_grid(8), 1.0)))
+    bodies.append(convex_hull_3d(random_cloud(7, n=60)))
+    for P in bodies:
+        enclosing_ellipsoid(P, tolerance=1e-10)
+    assert 0 in near_counts
+    assert any(1 <= k <= 10 for k in near_counts)
+    assert max(near_counts) > 10
+
+
+def test_singular_interior_point_factor_is_a_convergence_failure(monkeypatch):
+    # getrf reports an exact zero pivot through info > 0; the step raises
+    # LinAlgError rather than solving with the singular factor
+    assert convex._lu_factor(np.zeros((3, 3)))[2] == 1
+
+    def singular_factor(K):
+        return K, np.arange(1, K.shape[0] + 1, dtype=np.int32), 1
+
+    monkeypatch.setattr(convex, "_lu_factor", singular_factor)
+    with pytest.raises(ConvergenceFailure, match="^ellipsoid interior point failed after 0 "
+                       r"iterations \(gap .*\): singular interior-point Newton matrix "
+                       r"\(zero pivot 1\)$") as err:
+        enclosing_ellipsoid(convex_hull_3d(random_cloud(5)))
+    assert err.value.iterations == 0
+
+
 def test_ellipsoid_is_translation_and_scale_equivariant():
     points = random_cloud(4)
     E = enclosing_ellipsoid(points, tolerance=1e-10)
@@ -752,7 +845,7 @@ def _failing_interior_point_step(*args):
     raise np.linalg.LinAlgError("forced")
 
 
-def _nan_lu_solve(factor, rhs, check_finite=True):
+def _nan_lu_solve(factor, rhs):
     return np.full_like(rhs, np.nan)
 
 
@@ -767,7 +860,7 @@ def _cholesky_refusing_4x4(real):
 @pytest.mark.parametrize("target, replacement, message", [
     ("logmink.convex._interior_point_step", lambda: _failing_interior_point_step,
      "interior point failed after 0 iterations"),
-    ("scipy.linalg.lu_solve", lambda: _nan_lu_solve, "non-finite interior-point direction"),
+    ("logmink.convex._lu_solve", lambda: _nan_lu_solve, "non-finite interior-point direction"),
     ("numpy.linalg.cholesky", lambda: _cholesky_refusing_4x4(np.linalg.cholesky),
      "no step keeps M positive definite"),
 ], ids=["step", "direction", "halvings"])
@@ -883,6 +976,17 @@ def test_obj_skips_comments_and_blank_lines():
 def test_obj_rejects_bad_face():
     with pytest.raises(InvalidParameter):
         polytope_from_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 9\n")
+
+
+@pytest.mark.parametrize("faces, first", [
+    ("f 1 2 3\nf 4 0 7\nf 9 1 2\n", "0"),
+    ("f 1 2 3\nf 1 2 123456789012345678901234567890\nf -1 2 3\n",
+     "123456789012345678901234567890"),
+])
+def test_obj_names_the_first_bad_face_index_in_file_order(faces, first):
+    # the range check runs over every index at once, beyond int64 too
+    with pytest.raises(InvalidParameter, match=f"^OBJ face index {first} out of range 1..4$"):
+        polytope_from_obj("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n" + faces)
 
 
 def test_measure_csv_roundtrip():

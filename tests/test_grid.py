@@ -26,6 +26,7 @@ from logmink.grid import (
     integrate,
     lm_index,
     synthesize,
+    _csv_text,
     _harmonic_sup,
     _legendre_order,
     _trig_table,
@@ -543,6 +544,15 @@ def test_field_csv_roundtrip(grid):
     assert_allclose(back.values, field.values, rtol=0, atol=0)
     # serialization is exact: a second round trip is byte-identical
     assert field_to_csv(back) == text
+
+
+def test_csv_template_path_writes_the_row_path_bytes():
+    # a float array goes through one %r template, a list of rows through
+    # _csv_cell; both write each float as its repr
+    values = np.array([[-0.0, 5e-324, 1e16], [1e-05, 0.1 + 0.2, -1.5e-300]])
+    text = _csv_text("a,b,c", values, head=["h"], tail=["t"])
+    assert text == _csv_text("a,b,c", values.tolist(), head=["h"], tail=["t"])
+    assert text.splitlines()[2:4] == ["-0.0,5e-324,1e+16", "1e-05,0.30000000000000004,-1.5e-300"]
 
 
 def test_field_csv_rejects_wrong_grid(grid):
